@@ -36,22 +36,23 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(Path(tmp) / "verdicts.sqlite")
-        runner = BatchRunner(store=store, workers=2, timeout_seconds=60)
+        # The runner's worker pool starts with the cold run and stops when
+        # the with block closes the runner.
+        with BatchRunner(store=store, workers=2, timeout_seconds=60) as runner:
+            cold = runner.run(jobs)
+            counts = cold.verdict_counts()
+            print(
+                f"cold run : {counts['nonempty']} nonempty, {counts['empty']} empty, "
+                f"{counts['error']} errors in {cold.elapsed_seconds:.3f}s "
+                f"({cold.executed} executed)"
+            )
 
-        cold = runner.run(jobs)
-        counts = cold.verdict_counts()
-        print(
-            f"cold run : {counts['nonempty']} nonempty, {counts['empty']} empty, "
-            f"{counts['error']} errors in {cold.elapsed_seconds:.3f}s "
-            f"({cold.executed} executed)"
-        )
-
-        warm = runner.run(jobs)
-        print(
-            f"warm run : identical verdicts={warm.verdicts == cold.verdicts} "
-            f"in {warm.elapsed_seconds:.4f}s "
-            f"({warm.cache_hits} served from the store)"
-        )
+            warm = runner.run(jobs)
+            print(
+                f"warm run : identical verdicts={warm.verdicts == cold.verdicts} "
+                f"in {warm.elapsed_seconds:.4f}s "
+                f"({warm.cache_hits} served from the store)"
+            )
 
         speedup = cold.elapsed_seconds / max(warm.elapsed_seconds, 1e-9)
         print(f"cold/warm speedup: {speedup:.0f}x")

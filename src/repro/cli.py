@@ -274,7 +274,8 @@ def _command_batch(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
-        report = runner.run(jobs)
+        with runner:
+            report = runner.run(jobs)
         if args.json:
             payload = report.as_dict()
             payload["seed"] = args.seed

@@ -25,9 +25,7 @@ Concrete theories:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Hashable, Iterator, Mapping, Optional, Tuple
@@ -190,26 +188,6 @@ class DatabaseTheory(ABC):
         """Function symbols the theory's delta contexts can resolve."""
         return frozenset()
 
-    def plan_cache_key(self) -> Optional[str]:
-        """A stable process-wide key for compiled-plan reuse, or None.
-
-        Defaults to a digest of the theory's canonical spec when the theory
-        supports serialization, so equal theories (e.g. rebuilt per job in a
-        batch worker) share compiled guards.  Memoised per instance.
-        """
-        cached = getattr(self, "_plan_cache_key", False)
-        if cached is not False:
-            return cached
-        try:
-            spec = self.to_spec()
-            key = hashlib.sha256(
-                json.dumps(spec, sort_keys=True, separators=(",", ":")).encode()
-            ).hexdigest()
-        except (NotImplementedError, TypeError, ValueError):
-            key = None
-        self._plan_cache_key = key
-        return key
-
     def enumerate_deltas(
         self,
         system: DatabaseDrivenSystem,
@@ -266,15 +244,7 @@ class DatabaseTheory(ABC):
             self._instance_plans = plans
         plan = plans.get(transition.guard)
         if plan is None:
-            plan = TransitionPlan(
-                transition,
-                compiled_guard_for(
-                    self.plan_cache_key(),
-                    transition.guard,
-                    self.plan_guard_schema(),
-                    self.plan_function_symbols(),
-                ),
-            )
+            plan = TransitionPlan(transition, compiled_guard_for(self, transition.guard))
             plans[transition.guard] = plan
         return plan
 

@@ -34,12 +34,13 @@ authoritative evaluation entirely; :data:`~repro.logic.threevalued.UNKNOWN`
 relations) falls back to the legacy materialize-and-evaluate path, so the
 conservative semantics of the pre-filters is preserved exactly.
 
-Compiled guards are cached process-wide (``engine_transition_plans`` in
-:mod:`repro.perf`) keyed by the theory's stable plan key and the guard
-formula, which is what lets :class:`~repro.service.runner.BatchRunner`
-workers prime plans once per theory and reuse them across a same-theory
-batch.  With :func:`repro.perf.caches_disabled` the engine never consults
-plans at all and runs the legacy recompute-everything path.
+Compiled guards are memoised on the theory instance
+(``engine_transition_plans`` in :mod:`repro.perf`) keyed by the guard
+formula, like every other engine cache: a batch job rebuilds its theory
+from its spec, so a long-lived :class:`~repro.service.runner.BatchRunner`
+worker holds no compiled guard of a finished job.  With
+:func:`repro.perf.caches_disabled` the engine never consults plans at all
+and runs the legacy recompute-everything path.
 """
 
 from __future__ import annotations
@@ -297,30 +298,24 @@ def compile_guard(
     return CompiledGuard(guard, evaluator, compiler.decisive, _atom_templates(guard))
 
 
-#: Process-wide compiled-guard cache: (theory plan key, guard) -> CompiledGuard.
-_compiled_guard_cache = BoundedCache("engine_transition_plans", cap=1 << 10)
+def compiled_guard_for(theory, guard: Formula) -> Optional[CompiledGuard]:
+    """Fetch (or compile) ``theory``'s plan guard for ``guard``; None when unsupported.
 
-
-def compiled_guard_for(
-    cache_key: Optional[str],
-    guard: Formula,
-    schema: Optional[Schema],
-    function_symbols: FrozenSet[str] = frozenset(),
-) -> Optional[CompiledGuard]:
-    """Fetch (or compile) the plan guard for a theory; None when unsupported.
-
-    ``cache_key`` is the theory's stable plan key
-    (:meth:`~repro.fraisse.base.DatabaseTheory.plan_cache_key`); theories
-    without one still get a compiled guard, just not a process-wide cached
-    one.  Returns None when the theory does not expose a plan schema.
+    Compiled guards are memoised on the theory instance, so they live
+    exactly as long as it does.  Returns None when the theory does not
+    expose a plan schema.
     """
+    schema = theory.plan_guard_schema()
     if schema is None:
         return None
-    if cache_key is None or not caches_enabled():
+    function_symbols = theory.plan_function_symbols()
+    if not caches_enabled():
         return compile_guard(guard, schema, function_symbols)
-    return _compiled_guard_cache.get_or_compute(
-        (cache_key, guard), lambda: compile_guard(guard, schema, function_symbols)
-    )
+    cache = getattr(theory, "_compiled_guards", None)
+    if cache is None:
+        cache = BoundedCache("engine_transition_plans", cap=1 << 10)
+        theory._compiled_guards = cache
+    return cache.get_or_compute(guard, lambda: compile_guard(guard, schema, function_symbols))
 
 
 # -- plans -----------------------------------------------------------------------
@@ -393,14 +388,11 @@ class PlanSet:
     __slots__ = ("_plans",)
 
     def __init__(self, system, theory) -> None:
-        schema = theory.plan_guard_schema()
-        function_symbols = theory.plan_function_symbols()
-        cache_key = theory.plan_cache_key()
         self._plans: Dict[Transition, TransitionPlan] = {}
         for transition in system.transitions:
             if transition in self._plans:
                 continue
-            compiled = compiled_guard_for(cache_key, transition.guard, schema, function_symbols)
+            compiled = compiled_guard_for(theory, transition.guard)
             self._plans[transition] = TransitionPlan(transition, compiled)
 
     def plan_for(self, transition: Transition) -> TransitionPlan:
@@ -428,13 +420,12 @@ def compile_plans(system, theory) -> PlanSet:
 
 
 def prime_plans(system, theory) -> int:
-    """Warm the process-wide compiled-guard cache for a ``(system, theory)`` pair.
+    """Compile ``system``'s guards into ``theory``'s compiled-guard memo.
 
-    Used by batch-service workers before running a job: subsequent jobs over
-    the same theory (the common shape of generated batches) then reuse the
-    compiled guards instead of recompiling per job.  Returns the number of
-    plans whose guard compiled.  A no-op (returning 0) when caches are
-    disabled.
+    Used by batch-service workers before running a job, so the engine's own
+    plan compilation for the job hits the memo and the timed run excludes
+    compilation.  Returns the number of plans whose guard compiled.  A no-op
+    (returning 0) when caches are disabled.
     """
     if not caches_enabled():
         return 0

@@ -770,11 +770,5 @@ class StructureInterner:
     def stats(self):
         return self._cache.stats
 
-
-#: The default interner used by the theories' sub-transition enumeration.
-DEFAULT_INTERNER = StructureInterner("witness_interner")
-
-
-def intern_structure(structure: Structure) -> Structure:
-    """Intern through the process-wide default interner."""
-    return DEFAULT_INTERNER.intern(structure)
+    def __len__(self) -> int:
+        return len(self._cache)

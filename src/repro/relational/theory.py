@@ -77,7 +77,7 @@ from repro.logic.schema import Schema
 from repro.logic.structures import (
     Element,
     Structure,
-    intern_structure,
+    StructureInterner,
     sorted_key_list,
 )
 from repro.logic.terms import Term, Var
@@ -97,6 +97,9 @@ class RelationalTheory(DatabaseTheory):
         if not schema.is_relational:
             raise ValueError("relational theories require purely relational schemas")
         self._schema = schema
+        # Seed witnesses are interned per theory, like every other engine
+        # memo table: a job builds its own theory, so none outlives the job.
+        self._interner = StructureInterner("witness_interner")
 
     # -- DatabaseTheory interface ----------------------------------------------
 
@@ -184,7 +187,7 @@ class RelationalTheory(DatabaseTheory):
                     relations = {name: set(facts) for name, facts in decoration_facts.items()}
                     for relation, t in chosen:
                         relations[relation].add(t)
-                    witness = intern_structure(
+                    witness = self._interner.intern(
                         Structure(schema, elements, relations=relations, validate=False)
                     )
                     yield TheoryConfiguration.make(

@@ -13,11 +13,12 @@ rebuilds it (``VerificationJob.from_spec``), runs the engine, and returns a
   non-canonical serialization before it can poison the store,
 * **graceful failure** -- a worker error, crash, or timeout yields an
   errored :class:`JobResult` for that job only; the rest of the batch
-  proceeds.  Parallel execution runs on a
-  :class:`~repro.service.supervisor.SupervisedPool`: dead workers surface
-  as ``worker-crashed`` results, wedged workers are killed at a parent-side
-  deadline (``timeout + grace``) and surface as ``deadline-exceeded`` --
-  the batch never hangs on a lost worker,
+  proceeds.  Parallel execution runs on the runner's one
+  :class:`~repro.service.supervisor.SupervisedPool`, started by its first
+  pooled batch and kept until :meth:`BatchRunner.close`: dead workers
+  surface as ``worker-crashed`` results, wedged workers are killed at a
+  parent-side deadline (``timeout + grace``) and surface as
+  ``deadline-exceeded`` -- the batch never hangs on a lost worker,
 * **bounded retries** -- a :class:`RetryPolicy` re-executes transiently
   failed jobs (crash/timeout/store-IO) with exponential backoff and jitter;
   deterministic failures (bad specs, engine errors) are never retried.
@@ -33,7 +34,9 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -75,10 +78,9 @@ def _execute_payload(payload: WorkerPayload) -> JobResult:
                 error=f"{type(exc).__name__}: {exc}",
                 error_code="spec-error",
             )
-        # Warm the process-wide compiled-plan cache before the timed run: guards
-        # are keyed by the theory's stable plan key, so same-theory jobs later in
-        # the batch (the common shape of generated batches) reuse the compiled
-        # evaluators instead of recompiling per job.
+        # Compile the job's plan guards before the timed run, so the engine
+        # time excludes compilation.  They are memoised on the job's own
+        # theory and die with it: a pool worker outlives many jobs.
         prime_plans(job.system, job.theory)
         result = execute_job(job, timeout_seconds=timeout_seconds)
     result.wall_seconds = time.perf_counter() - began
@@ -189,6 +191,10 @@ class RunnerStats:
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
 
+    def add(self, other: "RunnerStats") -> None:
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
 
 @dataclass
 class BatchReport:
@@ -251,6 +257,15 @@ class FingerprintMismatch(RuntimeError):
 class BatchRunner:
     """Run batches of verification jobs, optionally in parallel.
 
+    With ``workers > 1`` the runner owns one
+    :class:`~repro.service.supervisor.SupervisedPool`.  The pool starts with
+    the runner's first pooled batch and then serves every later batch,
+    including batches that concurrent threads run at the same time (the HTTP
+    server's executor threads do), until :meth:`close`.  ``close()`` also runs
+    when the runner is garbage-collected or the interpreter exits, and the
+    runner is a context manager that closes on exit.  A closed runner starts
+    no new pool: a later batch that needs one raises ``RuntimeError``.
+
     Parameters
     ----------
     store:
@@ -270,10 +285,11 @@ class BatchRunner:
         forking a multi-threaded process can inherit locks mid-acquisition
         (the classic fork-from-a-thread deadlock).  Spawned workers import
         the job spec from scratch -- slower to start (~0.5s on this
-        codebase) but safe under any threading, and the worker entry points
-        are module-level precisely so they pickle under spawn.  Pass
-        ``"fork"`` to recover the old behaviour in single-threaded batch
-        scripts where startup latency dominates.
+        codebase, paid once per runner, not once per batch) but safe under
+        any threading, and the worker entry points are module-level
+        precisely so they pickle under spawn.  Pass ``"fork"`` to recover
+        the old behaviour in single-threaded batch scripts where startup
+        latency dominates.
     retry_policy:
         :class:`RetryPolicy` for transient failures; the default never
         retries, preserving strict one-shot semantics.
@@ -306,7 +322,15 @@ class BatchRunner:
         self._start_method = start_method
         self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._grace_seconds = grace_seconds
+        #: Totals over every batch; each batch counts into its own
+        #: :class:`RunnerStats` and adds it here under the lock.
         self.stats = RunnerStats()
+        self._lock = threading.Lock()
+        self._pool: Optional[SupervisedPool] = None
+        self._closed = False
+        #: Closes the pool when the runner is collected (or at exit); the
+        #: callback holds the pool, never the runner.
+        self._finalizer: Optional[weakref.finalize] = None
 
     @property
     def store(self) -> Optional[ResultStore]:
@@ -316,10 +340,47 @@ class BatchRunner:
     def retry_policy(self) -> RetryPolicy:
         return self._retry_policy
 
+    # -- lifecycle ---------------------------------------------------------------
+
+    def close(self) -> None:
+        """Stop the worker pool, if one started (idempotent)."""
+        with self._lock:
+            self._closed = True
+            finalizer = self._finalizer
+        if finalizer is not None:
+            finalizer()
+
+    def __enter__(self) -> "BatchRunner":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def _shared_pool(self) -> SupervisedPool:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("BatchRunner is closed")
+            if self._pool is None:
+                _log.debug("starting supervised pool", extra={"workers": self._workers})
+                self._pool = SupervisedPool(
+                    multiprocessing.get_context(self._start_method),
+                    self._workers,
+                    _supervised_entry,
+                    grace_seconds=self._grace_seconds,
+                )
+                self._finalizer = weakref.finalize(self, self._pool.close)
+            return self._pool
+
+    def _add_stats(self, tally: RunnerStats) -> None:
+        with self._lock:
+            self.stats.add(tally)
+
+    # -- batches -----------------------------------------------------------------
+
     def run(self, jobs: Sequence[VerificationJob]) -> BatchReport:
         """Execute a batch; the report's results align with ``jobs``."""
         start = time.perf_counter()
-        stats_before = self.stats.as_dict()
+        tally = RunnerStats()
         report = BatchReport(workers=self._workers)
         results: List[Optional[JobResult]] = [None] * len(jobs)
 
@@ -341,20 +402,20 @@ class BatchRunner:
             else:
                 pending.append((index, job))
 
-        if pending:
-            pending_jobs = [job for _, job in pending]
-            for local_index, result in self.execute_indexed(pending_jobs):
-                index, job = pending[local_index]
-                results[index] = result
-                report.executed += 1
-                self.record(job, result)
+        try:
+            if pending:
+                pending_jobs = [job for _, job in pending]
+                for local_index, result in self._execute(pending_jobs, tally):
+                    index, job = pending[local_index]
+                    results[index] = result
+                    report.executed += 1
+                    self._record(job, result, tally)
+        finally:
+            self._add_stats(tally)
 
         report.results = [result for result in results if result is not None]
         report.elapsed_seconds = time.perf_counter() - start
-        stats_after = self.stats.as_dict()
-        report.fault_tolerance = {
-            key: stats_after[key] - stats_before[key] for key in stats_after
-        }
+        report.fault_tolerance = tally.as_dict()
         _log.info(
             "batch finished",
             extra={
@@ -363,8 +424,8 @@ class BatchRunner:
                 "executed": report.executed,
                 "workers": self._workers,
                 "batch_seconds": round(report.elapsed_seconds, 3),
-                "retries": report.fault_tolerance.get("retries", 0),
-                "worker_crashes": report.fault_tolerance.get("worker_crashes", 0),
+                "retries": tally.retries,
+                "worker_crashes": tally.worker_crashes,
             },
         )
         return report
@@ -381,6 +442,11 @@ class BatchRunner:
         failures are not stored at all.  Store problems never propagate: the
         caller still holds the result.
         """
+        tally = RunnerStats()
+        self._record(job, result, tally)
+        self._add_stats(tally)
+
+    def _record(self, job: VerificationJob, result: JobResult, tally: RunnerStats) -> None:
         if self._store is None:
             return
         if result.ok:
@@ -391,13 +457,13 @@ class BatchRunner:
                     return
                 except Exception as exc:  # noqa: BLE001 - store IO must not kill the batch
                     if attempt == attempts:
-                        self.stats.store_put_failures += 1
+                        tally.store_put_failures += 1
                         _log.error(
                             "store write failed; verdict not persisted",
                             extra={"fingerprint": result.fingerprint[:12], "error": str(exc)},
                         )
                         return
-                    self.stats.store_put_retries += 1
+                    tally.store_put_retries += 1
                     time.sleep(self._retry_policy.delay_seconds(attempt))
         elif result.error_code in RETRYABLE_ERROR_CODES:
             try:
@@ -415,23 +481,29 @@ class BatchRunner:
         like the HTTP server can stream per-job progress while the rest of
         the batch is still running.  Every result's fingerprint is verified
         against its job before it is yielded (see :class:`FingerprintMismatch`).
-
-        A single job only stays in the calling thread when no timeout is
-        set: the SIGALRM budget needs a worker process's main thread, and
-        callers like the HTTP server invoke this off the main thread where
-        the alarm would be silently skipped.
+        With ``workers > 1`` every job runs in a pool worker, a batch of one
+        included, so a job that crashes its process takes down a worker, not
+        the caller.
         """
+        tally = RunnerStats()
+        try:
+            yield from self._execute(jobs, tally)
+        finally:
+            self._add_stats(tally)
+
+    def _execute(
+        self, jobs: Sequence[VerificationJob], tally: RunnerStats
+    ) -> Iterator[Tuple[int, JobResult]]:
         log_fields = telemetry.current_log_context()
-        if self._workers == 1 or len(jobs) == 1 and self._timeout_seconds is None:
-            yield from self._execute_serial(jobs, log_fields)
-            return
-        yield from self._execute_supervised(jobs, log_fields)
+        if self._workers == 1:
+            return self._execute_serial(jobs, log_fields, tally)
+        return self._execute_supervised(jobs, log_fields, tally)
 
     def _payload(self, job: VerificationJob, log_fields: Dict[str, str]) -> WorkerPayload:
         return (job.to_spec(), job.fingerprint, self._timeout_seconds, log_fields)
 
     def _execute_serial(
-        self, jobs: Sequence[VerificationJob], log_fields: Dict[str, str]
+        self, jobs: Sequence[VerificationJob], log_fields: Dict[str, str], tally: RunnerStats
     ) -> Iterator[Tuple[int, JobResult]]:
         policy = self._retry_policy
         for index, job in enumerate(jobs):
@@ -441,7 +513,7 @@ class BatchRunner:
                 result = _execute_payload(payload)
                 result.attempts = attempt
                 if policy.should_retry(result, attempt, job):
-                    self.stats.retries += 1
+                    tally.retries += 1
                     time.sleep(policy.delay_seconds(attempt))
                     attempt += 1
                     continue
@@ -449,35 +521,23 @@ class BatchRunner:
                 break
 
     def _execute_supervised(
-        self, jobs: Sequence[VerificationJob], log_fields: Dict[str, str]
+        self, jobs: Sequence[VerificationJob], log_fields: Dict[str, str], tally: RunnerStats
     ) -> Iterator[Tuple[int, JobResult]]:
         policy = self._retry_policy
-        context = multiprocessing.get_context(self._start_method)
-        processes = min(self._workers, len(jobs))
         # Every job may crash a worker on every allowed attempt; anything
         # past that budget is a crash loop the pool should refuse to feed.
-        respawn_budget = processes + sum(policy.attempts_for(job) for job in jobs)
-        _log.debug(
-            "starting supervised pool",
-            extra={"workers": processes, "jobs": len(jobs)},
-        )
-        pool = SupervisedPool(
-            context,
-            processes,
-            _supervised_entry,
-            grace_seconds=self._grace_seconds,
-            max_respawns=respawn_budget,
-        )
+        respawn_budget = self._workers + sum(policy.attempts_for(job) for job in jobs)
+        batch = self._shared_pool().batch(max_respawns=respawn_budget)
         payloads = [self._payload(job, log_fields) for job in jobs]
         try:
-            for index in range(len(jobs)):
-                pool.submit(index, 1, payloads[index], self._timeout_seconds)
-            for event in pool.events():
+            for index, payload in enumerate(payloads):
+                batch.submit(index, 1, payload, self._timeout_seconds)
+            for event in batch.events():
                 index, job = event.index, jobs[event.index]
-                result = self._event_result(event, job)
+                result = self._event_result(event, job, tally)
                 if policy.should_retry(result, event.attempt, job):
-                    self.stats.retries += 1
-                    pool.submit_later(
+                    tally.retries += 1
+                    batch.submit_later(
                         policy.delay_seconds(event.attempt),
                         index,
                         event.attempt + 1,
@@ -487,10 +547,10 @@ class BatchRunner:
                     continue
                 yield index, self._verified(job, index, result)
         finally:
-            pool.close()
-            self.stats.worker_respawns += pool.respawns
+            batch.close()
+            tally.worker_respawns += batch.respawns
 
-    def _event_result(self, event: PoolEvent, job: VerificationJob) -> JobResult:
+    def _event_result(self, event: PoolEvent, job: VerificationJob, tally: RunnerStats) -> JobResult:
         """Convert one supervision event into a (possibly errored) result."""
         if event.kind == "done":
             result = event.result
@@ -498,7 +558,7 @@ class BatchRunner:
             result.worker_counters = None
             return result
         if event.kind == "crashed":
-            self.stats.worker_crashes += 1
+            tally.worker_crashes += 1
             return JobResult(
                 fingerprint=job.fingerprint,
                 label=job.label,
@@ -510,7 +570,7 @@ class BatchRunner:
                 ),
                 error_code="worker-crashed",
             )
-        self.stats.deadline_exceeded += 1
+        tally.deadline_exceeded += 1
         return JobResult(
             fingerprint=job.fingerprint,
             label=job.label,
@@ -552,9 +612,10 @@ def run_batch(
     retry_policy: Optional[RetryPolicy] = None,
 ) -> BatchReport:
     """One-shot convenience wrapper around :class:`BatchRunner`."""
-    return BatchRunner(
+    with BatchRunner(
         store=store,
         workers=workers,
         timeout_seconds=timeout_seconds,
         retry_policy=retry_policy,
-    ).run(jobs)
+    ) as runner:
+        return runner.run(jobs)

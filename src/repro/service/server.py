@@ -13,11 +13,13 @@ always-on endpoint hardened for sustained mixed cold/warm traffic:
   instead of executing.  Combined with the store this guarantees each
   fingerprint runs the engine at most once per server lifetime (TTL expiry
   aside), no matter how many clients ask.
-* **Non-blocking execution.**  Fresh jobs run through the existing
-  :class:`~repro.service.runner.BatchRunner` worker pool, bridged off the
-  event loop with ``run_in_executor``; per-job completions are marshalled
-  back with ``call_soon_threadsafe``, so batch progress streams while the
-  pool is still working.
+* **Non-blocking execution.**  Fresh jobs run on the worker pool of the
+  service's one :class:`~repro.service.runner.BatchRunner`, which stays up
+  from the first pooled batch until :meth:`VerificationService.stop` and
+  serves concurrent batches, bridged off the event loop with
+  ``run_in_executor``; per-job completions are marshalled back with
+  ``call_soon_threadsafe``, so batch progress streams while the pool is
+  still working.
 * **Keep-alive connections.**  HTTP/1.1 persistent connections with request
   pipelining, an idle timeout between requests, a read budget per request
   (slowloris guard), and a connection cap (over-cap connects are answered
@@ -444,7 +446,9 @@ class VerificationService:
     workers:
         Worker processes of the backing :class:`BatchRunner` pool (spawned,
         not forked: the server forks off executor threads, where a forked
-        child can inherit locks mid-flight).
+        child can inherit locks mid-flight).  The pool starts with the
+        first batch that needs it, serves every later one, concurrent
+        batches included, and stops in :meth:`stop`.
     timeout_seconds:
         Per-job wall-clock budget, enforced inside pool workers (Unix only,
         and only when ``workers > 1`` -- single-worker execution runs on an
@@ -1199,9 +1203,18 @@ class VerificationService:
 
     async def start(self, host: str = "127.0.0.1", port: int = 8080) -> Tuple[str, int]:
         """Bind and start serving; returns the (host, port) actually bound."""
-        self._server = await asyncio.start_server(self._handle_client, host, port)
+        self._server = await asyncio.start_server(self._accept, host, port)
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
+
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        # A plain callback, not a coroutine: asyncio would run a coroutine in
+        # a task of its own whose done-callback, on Python 3.11, logs a
+        # CancelledError traceback for every connection stop() cancels.  The
+        # service owns each connection's task instead, and stop() collects it.
+        task = asyncio.get_running_loop().create_task(self._handle_client(reader, writer))
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "start() must be called first"
@@ -1265,6 +1278,7 @@ class VerificationService:
         return clean
 
     async def stop(self) -> None:
+        """Close the listener and every connection, then the worker pool."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -1277,14 +1291,13 @@ class VerificationService:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._executor.shutdown(wait=False, cancel_futures=True)
+        # After the executor: a batch still running on one of its threads
+        # fails fast on the closed pool instead of starting a new one.
+        self._runner.close()
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
         self.stats.connections_total += 1
         if self._open_connections >= self._max_connections:
             self.stats.connections_refused += 1

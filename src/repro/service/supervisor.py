@@ -1,4 +1,4 @@
-"""A parent-supervised worker pool that survives dying and wedging workers.
+"""A parent-supervised worker pool, shared by concurrent batches.
 
 ``multiprocessing.Pool`` has no equivalent of ``BrokenProcessPool``: when a
 spawn worker is OOM-killed or segfaults mid-job, ``imap_unordered`` simply
@@ -6,35 +6,55 @@ never yields that job and the parent hangs forever.  The in-worker SIGALRM
 budget cannot help — a dead process runs no signal handlers.  This module
 replaces the pool with explicit supervision:
 
-* **persistent workers** — ``processes`` long-lived spawn workers compete
-  for tasks on a shared queue (same load-balancing as ``imap_unordered``
-  with ``chunksize=1``, same one-time spawn cost per worker);
-* **per-worker result pipes** — each worker reports ``started`` before and
-  ``done`` after every task on its own duplex pipe, so the parent always
-  knows *which* task a worker was holding.  A worker death shows up as EOF
-  on its pipe (or a failed liveness check) and is surfaced as a structured
-  ``crashed`` event for exactly the task it held, never as a hang;
+* **persistent workers** — ``processes`` long-lived spawn workers serve every
+  batch submitted to the pool, so the spawn cost (a fresh interpreter
+  importing the engine) is paid once per pool, not once per batch;
+* **parent-side dispatch** — the parent hands each task to one idle worker
+  over that worker's private duplex pipe, so it always knows which task a
+  worker holds.  The worker reports ``started`` before and ``done`` after
+  the task.  A worker death shows up as EOF on its pipe (or a failed
+  liveness check) and is surfaced as a structured ``crashed`` event for
+  exactly the task it held, never as a hang.  A worker lost before it
+  reported ``started`` never ran its task, which is handed to the next
+  worker unchanged;
 * **parent-side deadlines** — a task with a timeout gets a parent-side
   deadline of ``timeout + grace``: the in-worker alarm fires first in the
   healthy case, and the parent kills the worker outright when the alarm
   could not (wedged C loop, blocked syscall, suspended process) and emits a
   ``deadline`` event;
-* **automatic respawn** — any lost worker is replaced while work remains,
-  so one poisonous job cannot shrink the pool for the rest of the batch.
+* **per-batch routing** — each submitter opens a :class:`PoolBatch`.  Tasks
+  are keyed by batch, index and attempt, and every event goes to the batch
+  that submitted the task, so concurrent batches (the HTTP server's executor
+  threads) share the workers without seeing each other's events.  When a
+  batch ends, or its consumer stops early, its bookkeeping is dropped: its
+  queued tasks are withdrawn, and the results of its tasks still running
+  are discarded when they arrive;
+* **respawn on demand** — a lost worker is replaced as soon as a task waits
+  for one, so one poisonous job cannot shrink the pool.  Each loss is
+  charged to the batch whose task the worker held: that batch's
+  ``respawns`` count and its respawn budget (the crash-loop safety valve),
+  never another batch's.
+
+Supervision runs in the consumers' threads: whichever consumer is waiting
+for an event polls the worker pipes for every batch, one consumer at a
+time, so an idle pool runs no thread of its own.
 
 The pool is policy-free: it reports ``done``/``crashed``/``deadline``
-events and accepts resubmissions (:meth:`SupervisedPool.submit_later`), and
-the :class:`~repro.service.runner.BatchRunner` decides what to retry.
+events and accepts resubmissions (:meth:`PoolBatch.submit_later`), and the
+:class:`~repro.service.runner.BatchRunner` decides what to retry.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import signal
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro import telemetry
 
@@ -43,15 +63,9 @@ _log = telemetry.get_logger("supervisor")
 #: How long one supervision tick waits for worker messages.
 POLL_SECONDS = 0.05
 
-#: How long the parent tolerates "tasks outstanding, queue apparently empty,
-#: every worker idle" before it re-enqueues unclaimed tasks.  This closes
-#: the (microscopic) window where a worker is killed after dequeuing a task
-#: but before reporting ``started`` — the one loss mode pipes cannot see.
-STALL_RECOVERY_SECONDS = 5.0
-
 
 class WorkerPoolError(RuntimeError):
-    """The pool lost more workers than its respawn budget allows."""
+    """A batch lost more workers than its respawn budget allows, or the pool closed."""
 
 
 @dataclass
@@ -66,148 +80,74 @@ class PoolEvent:
     elapsed_seconds: float = 0.0
 
 
-def _worker_main(work_queue: Any, conn: Any, entry: Callable[[Any, int], Any]) -> None:
-    """Worker process loop: announce, execute, report, repeat.
+class _Task(NamedTuple):
+    batch: int
+    index: int
+    attempt: int
+    payload: Any
+    timeout: Optional[float]
 
-    ``started`` is sent *before* ``entry`` runs so the parent can attribute
-    a mid-task death to the right task.  ``entry`` is expected to capture
-    its own exceptions into its result value; anything that still escapes
-    (e.g. an unpicklable result) kills this worker and is handled by the
-    parent's crash path.
+
+def _worker_main(conn: Any, entry: Callable[[Any, int], Any]) -> None:
+    """Worker process loop: receive, announce, execute, report, repeat.
+
+    ``started`` is sent *before* ``entry`` runs so the parent can tell a
+    task that never ran from one that died mid-run.  ``entry`` is expected
+    to capture its own exceptions into its result value; anything that
+    still escapes (e.g. an unpicklable result) kills this worker and is
+    handled by the parent's crash path.  The worker exits when the parent
+    closes its end of the pipe or terminates it.
     """
+    # The parent owns shutdown.  A terminal's Ctrl-C reaches the whole
+    # process group; it must not kill idle workers, each with a traceback.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
-        item = work_queue.get()
-        if item is None:
-            conn.send(("bye",))
-            conn.close()
+        try:
+            payload, attempt = conn.recv()
+        except EOFError:
             return
-        index, attempt, payload = item
-        conn.send(("started", index, attempt))
-        result = entry(payload, attempt)
-        conn.send(("done", index, attempt, result))
+        conn.send(("started",))
+        conn.send(("done", entry(payload, attempt)))
 
 
 class _Slot:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("process", "conn", "index", "attempt", "deadline", "started_at")
+    __slots__ = ("process", "conn", "task", "started", "deadline", "started_at")
 
     def __init__(self, process: Any, conn: Any) -> None:
         self.process = process
         self.conn = conn
-        self.index: Optional[int] = None
-        self.attempt: int = 0
+        #: The task handed to this worker; None while it is idle.
+        self.task: Optional[_Task] = None
+        #: Whether the worker reported picking ``task`` up.
+        self.started = False
         self.deadline: Optional[float] = None
         self.started_at: float = 0.0
 
-    @property
-    def busy(self) -> bool:
-        return self.index is not None
 
+class PoolBatch:
+    """One submitter's tasks and events on a shared :class:`SupervisedPool`.
 
-class SupervisedPool:
-    """Fixed-size supervised worker pool over a ``multiprocessing`` context.
-
-    Parameters
-    ----------
-    context:
-        ``multiprocessing`` context (spawn/fork/forkserver).
-    processes:
-        Worker count; lost workers are respawned while work remains.
-    entry:
-        Module-level callable ``entry(payload, attempt) -> result`` run in
-        the worker (must pickle under spawn).
-    grace_seconds:
-        Parent-side margin added to a task's timeout before the worker is
-        declared wedged and killed.
-    max_respawns:
-        Safety valve against crash loops; defaults to a budget generous
-        enough for every task to crash a worker on every retry attempt.
+    Open one with :meth:`SupervisedPool.batch`; every ``submit`` pairs with
+    exactly one event from :meth:`events`.  ``respawns`` counts the workers
+    lost on this batch's tasks; past ``max_respawns`` the batch fails with
+    :class:`WorkerPoolError`.  :meth:`close` ends the batch and drops its
+    bookkeeping.
     """
 
-    def __init__(
-        self,
-        context: Any,
-        processes: int,
-        entry: Callable[[Any, int], Any],
-        grace_seconds: float = 5.0,
-        max_respawns: Optional[int] = None,
-    ) -> None:
-        if processes < 1:
-            raise ValueError("processes must be >= 1")
-        if grace_seconds <= 0:
-            raise ValueError("grace_seconds must be positive")
-        self._ctx = context
-        self._processes = processes
-        self._entry = entry
-        self._grace = grace_seconds
-        self._max_respawns = max_respawns
-        self._work_queue = context.Queue()
-        self._slots: List[_Slot] = []
-        self._outstanding = 0
-        #: Tasks submitted but not yet reported ``started``: payloads are
-        #: retained here so stall recovery can re-enqueue them.
-        self._unclaimed: Dict[Tuple[int, int], Tuple[Any, Optional[float]]] = {}
-        #: Settled (index, attempt) pairs; duplicate reports are dropped.
-        self._settled: Set[Tuple[int, int]] = set()
-        #: (ready_at, seq, task) heap for backoff-delayed resubmissions.
-        self._delayed: List[Tuple[float, int, Tuple[int, int, Any, Optional[float]]]] = []
-        self._seq = itertools.count()
-        self._stall_since: Optional[float] = None
+    def __init__(self, pool: "SupervisedPool", batch_id: int, max_respawns: Optional[int]) -> None:
+        self._pool = pool
+        self.id = batch_id
+        self.max_respawns = max_respawns
         self.respawns = 0
-        self._started = False
-        self._closed = False
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for _ in range(self._processes):
-            self._spawn_slot()
-
-    def _spawn_slot(self) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(self._work_queue, child_conn, self._entry),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self._slots.append(_Slot(process, parent_conn))
-
-    def close(self) -> None:
-        """Terminate every worker and release IPC resources (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for slot in self._slots:
-            if slot.process.is_alive():
-                slot.process.terminate()
-        for slot in self._slots:
-            slot.process.join(timeout=2.0)
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join(timeout=2.0)
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
-        self._slots.clear()
-        # Unconsumed queue items would keep the feeder thread alive and
-        # block interpreter exit; we are abandoning them deliberately.
-        self._work_queue.close()
-        self._work_queue.cancel_join_thread()
-
-    # -- submission --------------------------------------------------------------
+        self.outstanding = 0
+        self.ready: Deque[PoolEvent] = deque()
+        self.error: Optional[WorkerPoolError] = None
 
     def submit(self, index: int, attempt: int, payload: Any, timeout: Optional[float]) -> None:
-        """Enqueue one task; pairs with exactly one event from :meth:`events`."""
-        self._outstanding += 1
-        self._unclaimed[(index, attempt)] = (payload, timeout)
-        self._work_queue.put((index, attempt, payload))
+        """Queue one task for the next idle worker."""
+        self._pool._submit(_Task(self.id, index, attempt, payload, timeout), 0.0)
 
     def submit_later(
         self,
@@ -222,20 +162,7 @@ class SupervisedPool:
         Used for retry backoff: the pool keeps polling while the task waits,
         so other jobs keep executing during the backoff window.
         """
-        self._outstanding += 1
-        ready_at = time.monotonic() + max(0.0, delay_seconds)
-        heapq.heappush(
-            self._delayed, (ready_at, next(self._seq), (index, attempt, payload, timeout))
-        )
-
-    def _release_due(self) -> None:
-        now = time.monotonic()
-        while self._delayed and self._delayed[0][0] <= now:
-            _, _, (index, attempt, payload, timeout) = heapq.heappop(self._delayed)
-            self._unclaimed[(index, attempt)] = (payload, timeout)
-            self._work_queue.put((index, attempt, payload))
-
-    # -- supervision loop --------------------------------------------------------
+        self._pool._submit(_Task(self.id, index, attempt, payload, timeout), delay_seconds)
 
     def events(self) -> Iterator[PoolEvent]:
         """Yield one event per outstanding task until none remain.
@@ -243,155 +170,324 @@ class SupervisedPool:
         Callers may resubmit (``submit``/``submit_later``) between events;
         the loop runs until every submission is settled.
         """
+        while True:
+            event = self._pool._next_event(self)
+            if event is None:
+                return
+            yield event
+
+    def close(self) -> None:
+        self._pool._close_batch(self)
+
+
+class SupervisedPool:
+    """Fixed-size supervised worker pool over a ``multiprocessing`` context.
+
+    The workers start with :meth:`start` (or the first :meth:`batch`) and
+    serve every batch until :meth:`close`.
+
+    Parameters
+    ----------
+    context:
+        ``multiprocessing`` context (spawn/fork/forkserver).
+    processes:
+        Worker count; a lost worker is replaced when a task waits for one.
+    entry:
+        Module-level callable ``entry(payload, attempt) -> result`` run in
+        the worker (must pickle under spawn).
+    grace_seconds:
+        Parent-side margin added to a task's timeout before the worker is
+        declared wedged and killed.
+    """
+
+    def __init__(
+        self,
+        context: Any,
+        processes: int,
+        entry: Callable[[Any, int], Any],
+        grace_seconds: float = 5.0,
+    ) -> None:
+        if processes < 1:
+            raise ValueError("processes must be >= 1")
+        if grace_seconds <= 0:
+            raise ValueError("grace_seconds must be positive")
+        self._ctx = context
+        self._processes = processes
+        self._entry = entry
+        self._grace = grace_seconds
+        #: Guards everything below; notified whenever events may have landed.
+        self._lock = threading.Condition(threading.Lock())
+        self._slots: List[_Slot] = []
+        #: Runnable tasks waiting for an idle worker, in submission order.
+        self._queue: Deque[_Task] = deque()
+        #: (ready_at, seq, task) heap for backoff-delayed resubmissions.
+        self._delayed: List[Tuple[float, int, _Task]] = []
+        self._seq = itertools.count()
+        self._batches: Dict[int, PoolBatch] = {}
+        self._batch_ids = itertools.count(1)
+        #: Whether some consumer is running a supervision tick.
+        self._pumping = False
+        self._started = False
+        self._closed = False
+
+    # -- lifecycle ---------------------------------------------------------------
+
+    def start(self) -> None:
+        with self._lock:
+            if self._started or self._closed:
+                return
+            self._started = True
+            for _ in range(self._processes):
+                self._spawn_slot()
+
+    def _spawn_slot(self) -> _Slot:
+        parent_conn, child_conn = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=_worker_main,
+            args=(child_conn, self._entry),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        slot = _Slot(process, parent_conn)
+        self._slots.append(slot)
+        return slot
+
+    def close(self) -> None:
+        """Terminate every worker and release IPC resources (idempotent).
+
+        Consumers still waiting for events get :class:`WorkerPoolError`.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._lock.notify_all()
+            # A tick in progress still reads the pipes; let it finish.
+            while self._pumping:
+                self._lock.wait()
+            slots, self._slots = self._slots, []
+            self._queue.clear()
+            self._delayed.clear()
+        for slot in slots:
+            if slot.process.is_alive():
+                slot.process.terminate()
+        for slot in slots:
+            slot.process.join(timeout=2.0)
+            if slot.process.is_alive():
+                slot.process.kill()
+                slot.process.join(timeout=2.0)
+            slot.conn.close()
+
+    # -- batches -----------------------------------------------------------------
+
+    def batch(self, max_respawns: Optional[int] = None) -> PoolBatch:
+        """Open a batch; ``max_respawns`` caps the workers its tasks may lose."""
         self.start()
-        while self._outstanding > 0:
+        with self._lock:
+            if self._closed:
+                raise WorkerPoolError("worker pool is closed")
+            batch = PoolBatch(self, next(self._batch_ids), max_respawns)
+            self._batches[batch.id] = batch
+            return batch
+
+    def _submit(self, task: _Task, delay_seconds: float) -> None:
+        with self._lock:
+            batch = self._batches.get(task.batch)
+            if batch is None:
+                raise WorkerPoolError("batch is closed")
+            batch.outstanding += 1
+            if delay_seconds > 0:
+                ready_at = time.monotonic() + delay_seconds
+                heapq.heappush(self._delayed, (ready_at, next(self._seq), task))
+            else:
+                self._queue.append(task)
+                self._dispatch()
+
+    def _close_batch(self, batch: PoolBatch) -> None:
+        with self._lock:
+            if self._batches.pop(batch.id, None) is None:
+                return
+            self._queue = deque(task for task in self._queue if task.batch != batch.id)
+            self._delayed = [entry for entry in self._delayed if entry[2].batch != batch.id]
+            heapq.heapify(self._delayed)
+            batch.ready.clear()
+            batch.outstanding = 0
+
+    def _next_event(self, batch: PoolBatch) -> Optional[PoolEvent]:
+        """The batch's next event, or None once it has nothing outstanding."""
+        with self._lock:
+            while True:
+                if batch.error is not None:
+                    raise batch.error
+                if batch.ready:
+                    return batch.ready.popleft()
+                if batch.outstanding <= 0:
+                    return None
+                if self._closed:
+                    raise WorkerPoolError("worker pool closed with tasks outstanding")
+                if self._pumping:
+                    # Another consumer is polling the workers for everyone.
+                    self._lock.wait(POLL_SECONDS)
+                else:
+                    self._tick()
+
+    # -- supervision loop (called with the lock held) ----------------------------
+
+    def _tick(self) -> None:
+        """One supervision round: wait for messages, route them, sweep, dispatch."""
+        self._pumping = True
+        try:
             self._release_due()
-            ready = mp_connection.wait(
-                [slot.conn for slot in self._slots], timeout=POLL_SECONDS
-            )
+            self._dispatch()
             by_conn = {slot.conn: slot for slot in self._slots}
+            # Wait without the lock so other consumers can submit meanwhile;
+            # only this tick reads the pipes, and close() waits for it.
+            self._lock.release()
+            try:
+                ready = mp_connection.wait(list(by_conn), timeout=POLL_SECONDS)
+            finally:
+                self._lock.acquire()
+            if self._closed:
+                return
             for conn in ready:
-                slot = by_conn.get(conn)
-                if slot is None:  # slot removed by an earlier event this tick
+                slot = by_conn[conn]
+                if slot not in self._slots:  # removed by an earlier event this tick
                     continue
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
-                    event = self._reap_dead(slot)
-                    if event is not None:
-                        yield event
+                    self._reap_dead(slot)
                     continue
-                event = self._handle_message(slot, message)
-                if event is not None:
-                    yield event
-            for event in self._sweep():
-                yield event
+                self._handle_message(slot, message)
+            self._sweep()
+            self._dispatch()
+        finally:
+            self._pumping = False
+            self._lock.notify_all()
 
-    def _handle_message(self, slot: _Slot, message: Tuple[Any, ...]) -> Optional[PoolEvent]:
-        kind = message[0]
-        if kind == "started":
-            _, index, attempt = message
-            task = self._unclaimed.pop((index, attempt), None)
-            timeout = task[1] if task is not None else None
-            slot.index = index
-            slot.attempt = attempt
+    def _handle_message(self, slot: _Slot, message: Tuple[Any, ...]) -> None:
+        task = slot.task
+        if task is None:
+            return
+        if message[0] == "started":
+            slot.started = True
             slot.started_at = time.monotonic()
             slot.deadline = (
-                slot.started_at + timeout + self._grace if timeout is not None else None
+                slot.started_at + task.timeout + self._grace if task.timeout is not None else None
             )
-            return None
-        if kind == "done":
-            _, index, attempt, result = message
-            slot.index = None
-            slot.deadline = None
-            return self._settle(
-                PoolEvent(
-                    "done",
-                    index,
-                    attempt,
-                    result=result,
-                    elapsed_seconds=time.monotonic() - slot.started_at,
-                )
-            )
-        # "bye": the worker drained a shutdown sentinel (close() path).
-        return None
+            return
+        # "done": the worker is idle again.
+        slot.task = None
+        slot.started = False
+        slot.deadline = None
+        self._settle(
+            task,
+            PoolEvent(
+                "done",
+                task.index,
+                task.attempt,
+                result=message[1],
+                elapsed_seconds=time.monotonic() - slot.started_at,
+            ),
+        )
 
-    def _settle(self, event: PoolEvent) -> Optional[PoolEvent]:
-        key = (event.index, event.attempt)
-        if key in self._settled:
-            # Stall recovery can duplicate a task; only the first report counts.
-            return None
-        self._settled.add(key)
-        self._outstanding -= 1
-        return event
+    def _settle(self, task: _Task, event: PoolEvent) -> None:
+        batch = self._batches.get(task.batch)
+        if batch is None:
+            return  # the batch ended; its late results are dropped
+        batch.outstanding -= 1
+        batch.ready.append(event)
 
-    def _sweep(self) -> Iterator[PoolEvent]:
-        """Deadline enforcement, death detection and stall recovery."""
+    def _dispatch(self) -> None:
+        """Hand queued tasks to idle workers, spawning replacements as needed."""
+        while self._queue and not self._closed:
+            slot = next((s for s in self._slots if s.task is None), None)
+            if slot is None:
+                if len(self._slots) >= self._processes:
+                    return
+                slot = self._spawn_slot()
+            task = self._queue.popleft()
+            slot.task = task
+            try:
+                slot.conn.send((task.payload, task.attempt))
+            except OSError:
+                pass  # the worker is gone; reaping hands the task on
+
+    def _release_due(self) -> None:
+        now = time.monotonic()
+        while self._delayed and self._delayed[0][0] <= now:
+            _, _, task = heapq.heappop(self._delayed)
+            self._queue.append(task)
+
+    def _sweep(self) -> None:
+        """Deadline enforcement and death detection."""
         now = time.monotonic()
         for slot in list(self._slots):
-            if slot.busy and slot.deadline is not None and now > slot.deadline:
-                index, attempt = slot.index, slot.attempt
+            task = slot.task
+            if slot.started and slot.deadline is not None and now > slot.deadline:
                 elapsed = now - slot.started_at
                 _log.warning(
                     "worker deadline exceeded; killing",
-                    extra={"task_index": index, "attempt": attempt, "elapsed": round(elapsed, 3)},
+                    extra={
+                        "task_index": task.index,
+                        "attempt": task.attempt,
+                        "elapsed": round(elapsed, 3),
+                    },
                 )
                 self._discard_slot(slot, kill=True)
-                self._respawn_if_needed()
-                event = self._settle(
-                    PoolEvent("deadline", index, attempt, elapsed_seconds=elapsed)
+                self._charge(task)
+                self._settle(
+                    task, PoolEvent("deadline", task.index, task.attempt, elapsed_seconds=elapsed)
                 )
-                if event is not None:
-                    yield event
             elif not slot.process.is_alive() and not slot.conn.poll():
                 # Dead with no buffered messages left; EOF may not surface
                 # through wait() on every platform, so check liveness too.
-                event = self._reap_dead(slot)
-                if event is not None:
-                    yield event
-        self._recover_stall()
+                self._reap_dead(slot)
 
-    def _reap_dead(self, slot: _Slot) -> Optional[PoolEvent]:
-        """A worker died: surface its held task (if any) and replace it."""
-        if slot not in self._slots:
-            return None
-        index, attempt = slot.index, slot.attempt
-        elapsed = time.monotonic() - slot.started_at if slot.busy else 0.0
+    def _reap_dead(self, slot: _Slot) -> None:
+        """A worker died: surface its held task (if any); dispatch replaces it."""
+        task = slot.task
+        elapsed = time.monotonic() - slot.started_at if slot.started else 0.0
         # Join (via discard) before reading the exit code: pipe EOF can
         # arrive before the dead process has been reaped, when exitcode
         # is still None.
         self._discard_slot(slot, kill=False)
+        if task is None or task.batch not in self._batches:
+            return  # an idle worker, or one running an ended batch's task
+        self._charge(task)
+        if not slot.started:
+            # Lost between dispatch and pickup: the task never ran.
+            self._queue.appendleft(task)
+            return
         exitcode = slot.process.exitcode
-        self._respawn_if_needed()
-        if index is None:
-            return None  # idle worker died; nothing to report, already replaced
         _log.warning(
             "worker crashed mid-task",
-            extra={"task_index": index, "attempt": attempt, "exitcode": exitcode},
+            extra={"task_index": task.index, "attempt": task.attempt, "exitcode": exitcode},
         )
-        return self._settle(
-            PoolEvent("crashed", index, attempt, exitcode=exitcode, elapsed_seconds=elapsed)
+        self._settle(
+            task,
+            PoolEvent(
+                "crashed", task.index, task.attempt, exitcode=exitcode, elapsed_seconds=elapsed
+            ),
         )
 
     def _discard_slot(self, slot: _Slot, kill: bool) -> None:
         if kill and slot.process.is_alive():
             slot.process.kill()
         slot.process.join(timeout=2.0)
-        try:
-            slot.conn.close()
-        except OSError:
-            pass
-        if slot in self._slots:
-            self._slots.remove(slot)
+        slot.conn.close()
+        self._slots.remove(slot)
 
-    def _respawn_if_needed(self) -> None:
-        if self._outstanding <= 0 or self._closed:
+    def _charge(self, task: _Task) -> None:
+        """Count a lost worker against the batch whose task it held."""
+        batch = self._batches.get(task.batch)
+        if batch is None:
             return
-        budget = self._max_respawns
-        if budget is not None and self.respawns >= budget:
-            raise WorkerPoolError(
-                f"worker pool exhausted its respawn budget ({budget}); "
+        batch.respawns += 1
+        budget = batch.max_respawns
+        if budget is not None and batch.respawns > budget and batch.error is None:
+            batch.error = WorkerPoolError(
+                f"batch exhausted its respawn budget ({budget}); "
                 "a job is likely crash-looping beyond its retry allowance"
             )
-        self.respawns += 1
-        self._spawn_slot()
-
-    def _recover_stall(self) -> None:
-        """Re-enqueue tasks lost in the dequeue-to-started window."""
-        busy = any(slot.busy for slot in self._slots)
-        if busy or not self._unclaimed or self._delayed or not self._work_queue.empty():
-            self._stall_since = None
-            return
-        now = time.monotonic()
-        if self._stall_since is None:
-            self._stall_since = now
-            return
-        if now - self._stall_since < STALL_RECOVERY_SECONDS:
-            return
-        self._stall_since = None
-        _log.warning(
-            "re-enqueueing unclaimed tasks after stall",
-            extra={"tasks": len(self._unclaimed)},
-        )
-        for (index, attempt), (payload, _timeout) in list(self._unclaimed.items()):
-            self._work_queue.put((index, attempt, payload))

@@ -113,7 +113,16 @@ class TreeAutomaton:
     # -- analysis (cached) ---------------------------------------------------------------
 
     def analysis(self) -> "AutomatonAnalysis":
-        return _analyse_cached(self)
+        """The automaton's derived reachability data, computed once per instance.
+
+        The memo lives on the instance (outside the dataclass fields, so
+        equality and hashing ignore it) and dies with it.
+        """
+        analysis = self.__dict__.get("_analysis")
+        if analysis is None:
+            analysis = _analyse(self)
+            object.__setattr__(self, "_analysis", analysis)
+        return analysis
 
     # -- acceptance -------------------------------------------------------------------------
 
@@ -552,18 +561,6 @@ def _analyse(automaton: TreeAutomaton) -> AutomatonAnalysis:
         minimal_subtrees=minimal_subtrees,
         root_context=root_context,
     )
-
-
-# -- module-level analysis cache ---------------------------------------------------------------
-
-_ANALYSIS_CACHE: Dict[int, AutomatonAnalysis] = {}
-
-
-def _analyse_cached(automaton: TreeAutomaton) -> AutomatonAnalysis:
-    key = id(automaton)
-    if key not in _ANALYSIS_CACHE:
-        _ANALYSIS_CACHE[key] = _analyse(automaton)
-    return _ANALYSIS_CACHE[key]
 
 
 # -- helpers -------------------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.logic.schema import Schema
 from repro.logic.structures import Structure
-from repro.perf import BoundedCache
 from repro.trees.automata import TreeAutomaton
 from repro.trees.tree import Tree
 from repro.trees.treedb import CCA, treedb
@@ -41,15 +40,8 @@ AnnotatedTree = Tuple[Tree, Dict[Tuple[int, ...], str]]
 """A pre-run: a tree together with a mapping from node paths to states."""
 
 
-_RUN_SCHEMA_CACHE = BoundedCache("trees_run_schema", cap=256)
-
-
 def run_schema(automaton: TreeAutomaton) -> Schema:
-    """The extended schema of tree run databases (memoised per automaton)."""
-    return _RUN_SCHEMA_CACHE.get_or_compute(automaton, lambda: _run_schema_uncached(automaton))
-
-
-def _run_schema_uncached(automaton: TreeAutomaton) -> Schema:
+    """The extended schema of tree run databases."""
     analysis = automaton.analysis()
     base = treedb(Tree.leaf(automaton.alphabet[0]), automaton.alphabet).schema
     relations = {name: base.relation(name).arity for name in base.relation_names}

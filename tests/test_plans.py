@@ -125,13 +125,16 @@ def test_prime_plans_counts_compiled_guards():
         assert prime_plans(system, theory) == 0
 
 
-def test_plan_cache_key_stable_across_equal_theories():
-    first = HomTheory(clique_template(2))
-    second = HomTheory(clique_template(2))
-    other = HomTheory(clique_template(3))
-    assert first.plan_cache_key() is not None
-    assert first.plan_cache_key() == second.plan_cache_key()
-    assert first.plan_cache_key() != other.plan_cache_key()
+def test_compiled_guards_are_memoised_per_theory_instance():
+    system = triangle_system()
+    theory = HomTheory(clique_template(2))
+    first = compile_plans(system, theory)
+    again = compile_plans(system, theory)
+    assert all(a.compiled is b.compiled for a, b in zip(first, again))
+    # An equal theory, as the next job rebuilds it from its spec, compiles its
+    # own guards: no compiled guard outlives the theory that compiled it.
+    rebuilt = compile_plans(system, HomTheory(clique_template(2)))
+    assert all(a.compiled is not b.compiled for a, b in zip(first, rebuilt))
 
 
 # -- fast/legacy equivalence across all five theories ------------------------------
