@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Hashable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import StructureError
 from repro.logic.schema import Schema
@@ -121,6 +121,25 @@ class CandidateDelta:
         )
 
 
+class Seed:
+    """An initial configuration, described but not yet built.
+
+    ``build()`` makes the configuration.  ``score``, when not None, is the
+    best-first score :func:`~repro.fraisse.search.abstraction_key_score` of
+    ``(state, abstraction_key(build()))`` for any control state, predicted
+    from the description alone, so a search can order seeds without building
+    them.
+    """
+
+    __slots__ = ("build", "score")
+
+    def __init__(
+        self, build: Callable[[], TheoryConfiguration], score: Optional[int] = None
+    ) -> None:
+        self.build = build
+        self.score = score
+
+
 class DatabaseTheory(ABC):
     """A class of databases (typically a semi-Fraïssé class) usable by the engine.
 
@@ -146,9 +165,43 @@ class DatabaseTheory(ABC):
 
     # -- search primitives ----------------------------------------------------
 
+    #: Whether the seeds' keys are exactly the keys a configuration can have:
+    #: every configuration the successor enumeration reaches has the key of
+    #: exactly one seed, and every seed predicts its ``score``.  True for the
+    #: relational classes (:class:`~repro.relational.AllDatabasesTheory`,
+    #: :class:`~repro.relational.HomTheory`): they are closed under
+    #: substructures and their seeds are every register-generated structure of
+    #: the class, once each.  The engine then builds seeds only when its
+    #: search reaches them and prunes a candidate in an initial state without
+    #: keying it (see :mod:`repro.fraisse.engine`).
+    seeds_cover_keys: bool = False
+
     @abstractmethod
     def initial_configurations(self, system: DatabaseDrivenSystem) -> Iterator[TheoryConfiguration]:
-        """Seed configurations: every small configuration, up to abstraction."""
+        """Seed configurations: every small configuration, up to abstraction.
+
+        The engine relies on the order: an eager search pushes the seeds in
+        exactly this order, and a search that builds seeds on demand takes
+        them in the order the eager frontier would pop them.  The seeds of
+        :class:`~repro.relational.AllDatabasesTheory` and
+        :class:`~repro.relational.HomTheory` cover their keys
+        (:attr:`seeds_cover_keys`); those of the word, tree and data-value
+        theories do not (a word key can take in function-generated positions
+        no seed has), so the engine builds all of their seeds before
+        exploring.
+        """
+
+    def seeds(self, system: DatabaseDrivenSystem) -> Iterator[Seed]:
+        """:meth:`initial_configurations` as a stream of :class:`Seed`\\ s.
+
+        The default wraps each configuration, already built, without a
+        predicted score.  Theories whose seeds cover their keys override it
+        to describe each seed without building it; their
+        :meth:`initial_configurations` then builds these seeds, so the two
+        share one enumeration.
+        """
+        for config in self.initial_configurations(system):
+            yield Seed(lambda config=config: config)
 
     @abstractmethod
     def successor_configurations(

@@ -21,6 +21,36 @@ discipline drains the (finite) abstract space.
 Abstraction keys are canonical forms and therefore cacheable: the engine
 memoises them per configuration (see :mod:`repro.perf` for the global cache
 switch used to measure the legacy, cache-free path).
+
+Seeds on demand
+---------------
+Theorem 5's procedure guesses one initial small configuration and walks
+sub-transitions from it; an eager search instead builds, keys and pushes every
+seed before its first pop, while a capped search explores a few dozen of
+them.  When the theory's seeds cover its keys
+(:attr:`~repro.fraisse.base.DatabaseTheory.seeds_cover_keys`), the strategy
+is a built-in one named by the caller, and no initial state is accepting, the
+engine takes the theory's seed stream (:meth:`~repro.fraisse.base.DatabaseTheory.seeds`)
+lazily instead: a seed is built and keyed only when the frontier would pop
+it, in exactly the eager pop order
+(:class:`~repro.fraisse.search.PendingSeeds`):
+
+* bfs takes the next seed while any are left, then pops its queue;
+* dfs takes seeds in reverse enumeration order, one whenever its stack is
+  empty;
+* priority merges the seeds, sorted by predicted score, with its heap by
+  (score, push order), so a seed wins a score tie.
+
+An eager search has every seed key in ``visited`` before it explores, so it
+prunes a candidate that lands on an initial state whenever its key is a
+seed's.  The relational classes are closed under substructures and their
+seeds are every register-generated structure of the class, once each, so
+every such landing has a seed's key: the lazy search prunes it as a duplicate
+without computing the key.  Everything else (theories whose seeds do not
+cover their keys, caller-supplied strategies, systems with an accepting
+initial state) drains the same stream before the first pop, which is the
+eager search.  Verdicts, ``exhausted``, ``configurations_explored`` and
+witnesses are identical either way.
 """
 
 from __future__ import annotations
@@ -28,12 +58,12 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.errors import SolverError
-from repro.fraisse.base import DatabaseTheory, TheoryConfiguration, guard_holds
+from repro.fraisse.base import DatabaseTheory, Seed, TheoryConfiguration, guard_holds
 from repro.fraisse.plans import PlanSet, compile_plans
-from repro.fraisse.search import StrategySpec, abstraction_key_score, make_strategy
+from repro.fraisse.search import PendingSeeds, StrategySpec, abstraction_key_score, make_strategy
 from repro.logic.structures import Structure
 from repro.perf import BoundedCache, caches_enabled
 from repro.systems.dds import DatabaseDrivenSystem, Run, Transition
@@ -42,7 +72,15 @@ from repro.telemetry import TraceRecorder
 
 @dataclass
 class SearchStatistics:
-    """Instrumentation collected during a solver invocation."""
+    """Instrumentation collected during a solver invocation.
+
+    When the engine builds seeds on demand (see the module docstring),
+    ``candidates_generated``, ``configurations_enqueued`` and
+    ``max_frontier_size`` count only the seeds the search took; seeds it never
+    reached are neither built nor counted, and a taken seed leaves the
+    frontier as soon as it is taken.  ``configurations_explored`` counts the
+    same pops as an eager search.
+    """
 
     configurations_explored: int = 0
     configurations_enqueued: int = 0
@@ -163,7 +201,8 @@ class EmptinessSolver:
         ``"dfs"``, ``"priority"``, or any
         :class:`~repro.fraisse.search.SearchStrategy` factory.  The verdict
         is strategy-independent; only the discovered witness and the explored
-        portion of the space vary.
+        portion of the space vary.  Only a strategy given by name lets the
+        engine build seeds on demand (see the module docstring).
     """
 
     def __init__(
@@ -249,27 +288,45 @@ class EmptinessSolver:
             plan_set = None
 
         goal: Optional[_SearchNode] = None
-        for state in sorted(system.initial_states):
-            for config in self._theory.initial_configurations(system):
-                stats.candidates_generated += 1
-                key = (state, self._abstraction_key(config, stats))
-                if key in visited:
-                    stats.duplicate_keys_pruned += 1
+        seeds = (
+            (seed.score, (state, seed))
+            for state in sorted(system.initial_states)
+            for seed in self._theory.seeds(system)
+        )
+        pending: Optional[PendingSeeds] = None
+        # Seeds on demand (module docstring); a strategy named by the caller is
+        # a fresh built-in frontier.
+        if (
+            self._theory.seeds_cover_keys
+            and isinstance(self._strategy_spec, str)
+            and not system.initial_states & system.accepting_states
+        ):
+            pending = frontier.pending_seeds(seeds)
+            seeded_states = system.initial_states
+        else:
+            seeded_states = frozenset()
+            for _, (state, seed) in seeds:
+                taken = self._take_seed(state, seed, visited, stats)
+                if taken is None:
                     continue
-                visited[key] = len(visited)
-                node = _SearchNode(state, config, parent=None, transition=None, depth=0)
-                stats.configurations_enqueued += 1
+                node, key = taken
                 if system.is_accepting(state):
                     goal = node
                     break
                 frontier.push(node, abstraction_key_score(key) if needs_scores else 0)
                 stats.max_frontier_size = max(stats.max_frontier_size, len(frontier))
-            if goal is not None:
-                break
 
-        while len(frontier) and goal is None:
+        while goal is None:
             stats.max_frontier_size = max(stats.max_frontier_size, len(frontier))
-            node = frontier.pop()
+            if pending is not None and pending.due():
+                taken = self._take_seed(*pending.take(), visited, stats)
+                if taken is None:
+                    continue
+                node = taken[0]
+            elif len(frontier):
+                node = frontier.pop()
+            else:
+                break
             stats.configurations_explored += 1
             if trace is not None:
                 explored = stats.configurations_explored
@@ -301,6 +358,7 @@ class EmptinessSolver:
                         frontier,
                         needs_scores,
                         visited,
+                        seeded_states,
                         stats,
                     )
                 else:
@@ -311,6 +369,7 @@ class EmptinessSolver:
                         frontier,
                         needs_scores,
                         visited,
+                        seeded_states,
                         stats,
                     )
                 if trace is not None:
@@ -364,6 +423,7 @@ class EmptinessSolver:
         frontier,
         needs_scores: bool,
         visited: Dict[Tuple[str, Hashable], int],
+        seeded_states: FrozenSet[str],
         stats: SearchStatistics,
     ) -> Optional[_SearchNode]:
         """Fast path: drive one transition's compiled plan over deltas.
@@ -409,6 +469,7 @@ class EmptinessSolver:
                 frontier,
                 needs_scores,
                 visited,
+                seeded_states,
                 stats,
             )
             if goal is not None:
@@ -423,6 +484,7 @@ class EmptinessSolver:
         frontier,
         needs_scores: bool,
         visited: Dict[Tuple[str, Hashable], int],
+        seeded_states: FrozenSet[str],
         stats: SearchStatistics,
     ) -> Optional[_SearchNode]:
         """Legacy path (caches disabled): materialize and evaluate raw guards."""
@@ -448,6 +510,7 @@ class EmptinessSolver:
                 frontier,
                 needs_scores,
                 visited,
+                seeded_states,
                 stats,
             )
             if goal is not None:
@@ -464,6 +527,7 @@ class EmptinessSolver:
         frontier,
         needs_scores: bool,
         visited: Dict[Tuple[str, Hashable], int],
+        seeded_states: FrozenSet[str],
         stats: SearchStatistics,
     ) -> Optional[_SearchNode]:
         """Shared post-guard tail: dedup, enqueue, accepting check, push.
@@ -472,8 +536,14 @@ class EmptinessSolver:
         state, None otherwise.  ``database`` is the already-materialized
         successor database if the caller built one for guard evaluation;
         when the compiled plan made that unnecessary the witness size comes
-        from the theory's cheap accessor instead.
+        from the theory's cheap accessor instead.  A candidate in one of
+        ``seeded_states`` (the initial states of a search that builds its
+        seeds on demand) has a seed's key, so it is a duplicate without
+        being keyed.
         """
+        if transition.target in seeded_states:
+            stats.duplicate_keys_pruned += 1
+            return None
         key = (transition.target, self._abstraction_key(candidate, stats))
         if key in visited:
             stats.duplicate_keys_pruned += 1
@@ -497,6 +567,24 @@ class EmptinessSolver:
         frontier.push(successor, abstraction_key_score(key) if needs_scores else 0)
         stats.max_frontier_size = max(stats.max_frontier_size, len(frontier))
         return None
+
+    def _take_seed(
+        self,
+        state: str,
+        seed: Seed,
+        visited: Dict[Tuple[str, Hashable], int],
+        stats: SearchStatistics,
+    ) -> Optional[Tuple[_SearchNode, Tuple[str, Hashable]]]:
+        """Build and key one seed; None if its key was already visited."""
+        config = seed.build()
+        stats.candidates_generated += 1
+        key = (state, self._abstraction_key(config, stats))
+        if key in visited:
+            stats.duplicate_keys_pruned += 1
+            return None
+        visited[key] = len(visited)
+        stats.configurations_enqueued += 1
+        return _SearchNode(state, config, parent=None, transition=None, depth=0), key
 
     @staticmethod
     def _snapshot_plan_statistics(plan_set: Optional[PlanSet], stats: SearchStatistics) -> None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Iterable, List, Optional, Protocol, Tuple, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Protocol, Tuple, Union
 
 from repro.errors import SolverError
 
@@ -41,6 +41,11 @@ class SearchStrategy(Protocol):
     ``needs_scores`` tells the engine whether to compute scores at all --
     order-insensitive frontiers set it False so the hot enqueue path skips
     the key walk.
+
+    The built-in strategies also implement ``pending_seeds``, which lets the
+    engine build initial configurations on demand (see
+    :class:`PendingSeeds`); a frontier the caller supplies gets every seed
+    pushed before the first pop instead.
     """
 
     name: str
@@ -67,6 +72,10 @@ class BreadthFirstStrategy:
     def push(self, node: Any, score: int) -> None:
         self._queue.append(node)
 
+    def pending_seeds(self, seeds: Iterable[Tuple[int, Any]]) -> "PendingSeeds":
+        # An eager search queues every seed ahead of every other node.
+        return PendingSeeds(iter(seeds), lambda score: True)
+
     def pop(self) -> Any:
         return self._queue.popleft()
 
@@ -88,6 +97,11 @@ class DepthFirstStrategy:
 
     def push(self, node: Any, score: int) -> None:
         self._stack.append(node)
+
+    def pending_seeds(self, seeds: Iterable[Tuple[int, Any]]) -> "PendingSeeds":
+        # An eager search stacks every seed below every other node: seeds
+        # leave last first, each once the stack above it has drained.
+        return PendingSeeds(reversed(list(seeds)), lambda score: not self._stack)
 
     def pop(self) -> Any:
         return self._stack.pop()
@@ -120,6 +134,16 @@ class BestFirstStrategy:
         heapq.heappush(self._heap, (score, self._counter, node))
         self._counter += 1
 
+    def pending_seeds(self, seeds: Iterable[Tuple[int, Any]]) -> "PendingSeeds":
+        # An eager search gives every seed a lower push counter than any
+        # other node, so a seed leaves before the heap's head unless the head
+        # scores lower.  Seed scores must be the scores pushes use: this
+        # frontier must not have a ``score_of``.
+        ordered = sorted(seeds, key=lambda pair: pair[0])
+        return PendingSeeds(
+            iter(ordered), lambda score: not self._heap or score <= self._heap[0][0]
+        )
+
     def pop(self) -> Any:
         return heapq.heappop(self._heap)[2]
 
@@ -128,6 +152,34 @@ class BestFirstStrategy:
 
     def __len__(self) -> int:
         return len(self._heap)
+
+
+class PendingSeeds:
+    """Initial configurations a search has not taken yet, for built-in frontiers.
+
+    An eager search pushes every seed before its first pop.  A built-in
+    strategy's ``pending_seeds`` instead holds them back, as ``(score, seed)``
+    pairs in the order its eager frontier would pop them, and ``due()`` says
+    whether that frontier would pop the next seed before its own head.  Taking
+    a seed exactly when it is due reproduces the eager pop order.
+    """
+
+    __slots__ = ("_seeds", "_next", "_before_head")
+
+    def __init__(
+        self, seeds: Iterator[Tuple[int, Any]], before_head: Callable[[int], bool]
+    ) -> None:
+        self._seeds = seeds
+        self._next = next(seeds, None)
+        self._before_head = before_head
+
+    def due(self) -> bool:
+        return self._next is not None and self._before_head(self._next[0])
+
+    def take(self) -> Any:
+        seed = self._next[1]
+        self._next = next(self._seeds, None)
+        return seed
 
 
 #: Specs accepted by :func:`make_strategy`: a name, a ready instance, or a

@@ -23,6 +23,10 @@ class AllDatabasesTheory(RelationalTheory):
 
     SPEC_KIND = "all_databases"
 
+    # Closed under substructures: every register-generated substructure is
+    # one of the seeds.
+    seeds_cover_keys = True
+
     def __init__(self, schema: Schema) -> None:
         super().__init__(schema)
 

@@ -30,6 +30,11 @@ COLOR_PREFIX = "hom_color_"
 class HomTheory(RelationalTheory):
     """The class HOM(H) of databases mapping homomorphically into ``H``."""
 
+    # The lifted class is closed under substructures and every witness element
+    # carries exactly one colour: each register-generated substructure is one
+    # of the seeds (a colouring of the register values plus allowed tuples).
+    seeds_cover_keys = True
+
     def __init__(self, template: Structure) -> None:
         if not template.schema.is_relational:
             raise TheoryError("HOM templates must be over relational schemas")

@@ -61,12 +61,14 @@ is what the benchmark runner measures as the pre-refactor engine.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FormulaError
 from repro.fraisse.base import (
     CandidateDelta,
     DatabaseTheory,
+    Seed,
     TheoryConfiguration,
     combined_guard_valuation,
     set_partitions,
@@ -163,8 +165,22 @@ class RelationalTheory(DatabaseTheory):
     # -- seeds -------------------------------------------------------------------
 
     def initial_configurations(self, system: DatabaseDrivenSystem) -> Iterator[TheoryConfiguration]:
+        for seed in self.seeds(system):
+            yield seed.build()
+
+    def seeds(self, system: DatabaseDrivenSystem) -> Iterator[Seed]:
+        """Every register-generated structure, described by its facts.
+
+        The walk runs over register partitions x element decorations x tuple
+        subsets and builds nothing.  Every element of a seed is a register
+        value, so the generic key lists each fact once, and its score is
+        ``6 + 3 * |registers| + sum(arity + 2)`` over the facts, decorations
+        included (see :func:`~repro.fraisse.search.abstraction_key_score`).
+        """
         registers = list(system.registers)
         schema = self.witness_schema()
+        weight = {name: schema.relation(name).arity + 2 for name in schema.relation_names}
+        register_score = 6 + 3 * len(registers)
         for partition in set_partitions(registers):
             elements = list(range(len(partition)))
             valuation = {}
@@ -181,18 +197,34 @@ class RelationalTheory(DatabaseTheory):
                         decoration_facts[relation].add(
                             tuple(element if a is FRESH_SELF else a for a in args)
                         )
+                base_score = register_score
+                for relation, facts in decoration_facts.items():
+                    base_score += weight[relation] * len(facts)
                 candidate_tuples = self._all_tuples(elements, elements)
                 allowed = self.tuple_filter(decoration_facts)
+                build = partial(self._build_seed, schema, elements, valuation, decoration_facts)
                 for chosen in self._tuple_subsets(candidate_tuples, allowed):
-                    relations = {name: set(facts) for name, facts in decoration_facts.items()}
+                    score = base_score
                     for relation, t in chosen:
-                        relations[relation].add(t)
-                    witness = self._interner.intern(
-                        Structure(schema, elements, relations=relations, validate=False)
-                    )
-                    yield TheoryConfiguration.make(
-                        witness, valuation, fresh_elements=tuple(elements)
-                    )
+                        if t not in decoration_facts[relation]:
+                            score += weight[relation]
+                    yield Seed(partial(build, chosen), score)
+
+    def _build_seed(
+        self,
+        schema: Schema,
+        elements: List[Element],
+        valuation: Dict[str, Element],
+        decoration_facts: Dict[str, Set[Tuple[Element, ...]]],
+        chosen: Tuple[Tuple[str, Tuple[Element, ...]], ...],
+    ) -> TheoryConfiguration:
+        relations = {name: set(facts) for name, facts in decoration_facts.items()}
+        for relation, t in chosen:
+            relations[relation].add(t)
+        witness = self._interner.intern(
+            Structure(schema, elements, relations=relations, validate=False)
+        )
+        return TheoryConfiguration.make(witness, valuation, fresh_elements=tuple(elements))
 
     # -- successors ----------------------------------------------------------------
 
