@@ -74,9 +74,10 @@ class CandidateDelta:
 
     The incremental candidate protocol
     (:meth:`DatabaseTheory.enumerate_deltas` /
-    :meth:`DatabaseTheory.apply_delta`) lets the engine check a transition's
-    compiled guard against this object -- the valuation change plus the new
-    tuples -- *before* paying for the successor database.  ``guard_status``
+    :meth:`DatabaseTheory.delta_key` / :meth:`DatabaseTheory.apply_delta`)
+    lets the engine check a transition's compiled guard against this object
+    -- the new valuation, the fresh elements and the new tuples -- and key
+    the candidate *before* paying for the successor database.  ``guard_status``
     is the theory's verdict from the compiled plan guard: ``True`` (holds,
     the engine skips the authoritative evaluation), ``False`` (cannot hold,
     the engine rejects without materializing) or
@@ -271,6 +272,21 @@ class DatabaseTheory(ABC):
     ) -> TheoryConfiguration:
         """Materialize the successor configuration of a surviving delta."""
         return delta.payload
+
+    def delta_key(
+        self, config: TheoryConfiguration, delta: CandidateDelta
+    ) -> Tuple[Hashable, Optional[TheoryConfiguration]]:
+        """The abstraction key of ``apply_delta(config, delta)``.
+
+        Returns the key together with the configuration when computing the
+        key built it, or None when the key came from the delta alone; the
+        engine then calls :meth:`apply_delta` only if the key is new.  It
+        must equal ``abstraction_key(apply_delta(config, delta))``.  The
+        default builds the configuration and keys it; the relational family
+        reads the key off the delta (:meth:`~repro.relational.theory.RelationalTheory.delta_key`).
+        """
+        candidate = self.apply_delta(config, delta)
+        return self.abstraction_key(candidate), candidate
 
     def witness_size(self, config: TheoryConfiguration) -> int:
         """Size of the configuration's witness, without forcing a database.

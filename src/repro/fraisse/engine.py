@@ -18,9 +18,22 @@ amalgamation of the underlying class guarantees that pruning revisited
 abstraction keys never loses reachable accepting states, whichever frontier
 discipline drains the (finite) abstract space.
 
-Abstraction keys are canonical forms and therefore cacheable: the engine
-memoises them per configuration (see :mod:`repro.perf` for the global cache
-switch used to measure the legacy, cache-free path).
+Keys before witnesses
+---------------------
+Theorem 5 identifies a configuration by the substructure its registers
+generate, so a candidate's key is fixed by its delta -- the new valuation,
+the fresh elements and the new tuples -- before its witness exists.  Once a
+candidate's guard holds, the engine applies the landing rule below, then
+asks the theory for the key (:meth:`~repro.fraisse.base.DatabaseTheory.delta_key`)
+and checks ``visited``; only a candidate with a new key is built
+(:meth:`~repro.fraisse.base.DatabaseTheory.apply_delta`).  Every theory goes
+through this one admission path: the relational family reads the key off the
+delta, the default builds the configuration once and keys it.  A candidate
+whose compiled guard is UNKNOWN is built and evaluated first, and keyed as
+built.  No key is memoised: each is computed once per candidate that reaches
+it (``key_cache_misses``; ``key_cache_hits`` stays 0).  The legacy,
+cache-free path (:func:`repro.perf.caches_disabled`) builds every candidate
+before its guard and keys it the same way.
 
 Seeds on demand
 ---------------
@@ -61,11 +74,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.errors import SolverError
-from repro.fraisse.base import DatabaseTheory, Seed, TheoryConfiguration, guard_holds
+from repro.fraisse.base import (
+    CandidateDelta,
+    DatabaseTheory,
+    Seed,
+    TheoryConfiguration,
+    guard_holds,
+)
 from repro.fraisse.plans import PlanSet, compile_plans
 from repro.fraisse.search import PendingSeeds, StrategySpec, abstraction_key_score, make_strategy
 from repro.logic.structures import Structure
-from repro.perf import BoundedCache, caches_enabled
+from repro.perf import caches_enabled
 from repro.systems.dds import DatabaseDrivenSystem, Run, Transition
 from repro.telemetry import TraceRecorder
 
@@ -80,6 +99,13 @@ class SearchStatistics:
     reached are neither built nor counted, and a taken seed leaves the
     frontier as soon as it is taken.  ``configurations_explored`` counts the
     same pops as an eager search.
+
+    The engine keeps no key memo: ``key_cache_misses`` counts the abstraction
+    keys computed (one per seed taken and per candidate that passes its guard
+    and does not land on an initial state), and ``key_cache_hits`` stays 0;
+    both names are kept for stored statistics.  ``plan_enumeration_pruned``
+    counts only the enumeration branches a theory evaluated: tuple subsets a
+    forced literal excludes are never generated.
     """
 
     configurations_explored: int = 0
@@ -218,33 +244,10 @@ class EmptinessSolver:
         self._max_configurations = max_configurations
         self._verify_witnesses = verify_witnesses
         self._strategy_spec = strategy
-        self._key_cache = BoundedCache("engine_abstraction_keys")
 
     @property
     def theory(self) -> DatabaseTheory:
         return self._theory
-
-    # -- abstraction-key memo --------------------------------------------------
-
-    def _abstraction_key(self, config: TheoryConfiguration, stats: SearchStatistics) -> Hashable:
-        """The theory's canonical key for ``config``, memoised per configuration.
-
-        Configurations are immutable value objects, so the canonical form of
-        the register-generated substructure can be computed once and reused
-        whenever enumeration re-produces an equal configuration (which
-        happens whenever different parents generate the same candidate).
-        """
-        if not caches_enabled():
-            stats.key_cache_misses += 1
-            return self._theory.abstraction_key(config)
-        key = self._key_cache.get(config)
-        if key is not None:
-            stats.key_cache_hits += 1
-            return key
-        stats.key_cache_misses += 1
-        key = self._theory.abstraction_key(config)
-        self._key_cache.put(config, key)
-        return key
 
     # -- main entry point ------------------------------------------------------
 
@@ -429,9 +432,10 @@ class EmptinessSolver:
         """Fast path: drive one transition's compiled plan over deltas.
 
         Guards are checked against each candidate's delta before the
-        successor database exists; only surviving candidates are
-        materialized, and only undecided (UNKNOWN) guards fall back to the
-        authoritative evaluation on the full database.
+        successor database exists, and only undecided (UNKNOWN) guards build
+        the candidate for the authoritative evaluation on the full database;
+        every other candidate is built only once its key is new (see
+        :meth:`_admit_candidate`).
         """
         theory = self._theory
         plan = plan_set.plan_for(transition)
@@ -443,12 +447,13 @@ class EmptinessSolver:
             if status is False:
                 plan_stats.rejected_pre_materialization += 1
                 continue
-            candidate = theory.apply_delta(node.config, delta)
+            candidate: Optional[TheoryConfiguration] = None
             database: Optional[Structure] = None
             if status is True:
                 plan_stats.compiled_guard_hits += 1
             else:
                 plan_stats.fallback_evaluations += 1
+                candidate = theory.apply_delta(node.config, delta)
                 database = theory.database(candidate)
                 stats.guard_evaluations += 1
                 if not guard_holds(
@@ -464,6 +469,7 @@ class EmptinessSolver:
                 system,
                 node,
                 transition,
+                delta,
                 candidate,
                 database,
                 frontier,
@@ -505,6 +511,7 @@ class EmptinessSolver:
                 system,
                 node,
                 transition,
+                None,
                 candidate,
                 database,
                 frontier,
@@ -522,7 +529,8 @@ class EmptinessSolver:
         system: DatabaseDrivenSystem,
         node: _SearchNode,
         transition: Transition,
-        candidate: TheoryConfiguration,
+        delta: Optional[CandidateDelta],
+        candidate: Optional[TheoryConfiguration],
         database: Optional[Structure],
         frontier,
         needs_scores: bool,
@@ -530,13 +538,16 @@ class EmptinessSolver:
         seeded_states: FrozenSet[str],
         stats: SearchStatistics,
     ) -> Optional[_SearchNode]:
-        """Shared post-guard tail: dedup, enqueue, accepting check, push.
+        """Shared post-guard tail: landing rule, key, dedup, build, enqueue, push.
 
-        Returns the goal node when ``transition`` reaches an accepting
-        state, None otherwise.  ``database`` is the already-materialized
-        successor database if the caller built one for guard evaluation;
-        when the compiled plan made that unnecessary the witness size comes
-        from the theory's cheap accessor instead.  A candidate in one of
+        The candidate comes built (``candidate``), or as a ``delta`` of
+        ``node``'s configuration, which the theory keys before anything is
+        built (:meth:`~repro.fraisse.base.DatabaseTheory.delta_key`); it is
+        built only when its key is new.  Returns the goal node when
+        ``transition`` reaches an accepting state, None otherwise.
+        ``database`` is the already-materialized successor database if the
+        caller built one for guard evaluation; otherwise the witness size
+        comes from the theory's cheap accessor.  A candidate in one of
         ``seeded_states`` (the initial states of a search that builds its
         seeds on demand) has a seed's key, so it is a duplicate without
         being keyed.
@@ -544,10 +555,17 @@ class EmptinessSolver:
         if transition.target in seeded_states:
             stats.duplicate_keys_pruned += 1
             return None
-        key = (transition.target, self._abstraction_key(candidate, stats))
+        stats.key_cache_misses += 1
+        if candidate is None:
+            key, candidate = self._theory.delta_key(node.config, delta)
+        else:
+            key = self._theory.abstraction_key(candidate)
+        key = (transition.target, key)
         if key in visited:
             stats.duplicate_keys_pruned += 1
             return None
+        if candidate is None:
+            candidate = self._theory.apply_delta(node.config, delta)
         visited[key] = len(visited)
         stats.configurations_enqueued += 1
         stats.largest_witness_size = max(
@@ -578,7 +596,8 @@ class EmptinessSolver:
         """Build and key one seed; None if its key was already visited."""
         config = seed.build()
         stats.candidates_generated += 1
-        key = (state, self._abstraction_key(config, stats))
+        stats.key_cache_misses += 1
+        key = (state, self._theory.abstraction_key(config))
         if key in visited:
             stats.duplicate_keys_pruned += 1
             return None

@@ -21,7 +21,12 @@ step per ``(theory, transition)`` pair:
 * the guard's fully-register-instantiated relation atoms are extracted once
   as *templates* (symbol plus ``(old|new, register)`` argument slots), so
   theories resolve the guard-relevant tuples of a step by dictionary lookups
-  instead of re-walking the formula per candidate.
+  instead of re-walking the formula per candidate;
+* for a decisive guard, its top-level conjuncts that are such atoms or their
+  negations are extracted once more as *literal templates*: a literal whose
+  tuple touches a fresh element fixes whether that tuple is in every
+  satisfying candidate, so the relational enumeration forces it instead of
+  testing every tuple subset.
 
 Plans drive the *incremental candidate* protocol of
 :class:`~repro.fraisse.base.DatabaseTheory` (``enumerate_deltas`` /
@@ -69,6 +74,9 @@ TemplateSlot = Tuple[str, str]
 
 #: A guard relation atom with every argument a register variable.
 AtomTemplate = Tuple[str, Tuple[TemplateSlot, ...]]
+
+#: A top-level guard conjunct that is such an atom (True) or its negation (False).
+LiteralTemplate = Tuple[str, Tuple[TemplateSlot, ...], bool]
 
 
 class DeltaContext:
@@ -238,9 +246,18 @@ def _reorder_by_selectivity(formula: Formula) -> Formula:
 
 
 class CompiledGuard:
-    """A guard compiled once: evaluator closure + register-atom templates."""
+    """A guard compiled once: evaluator closure plus register-atom templates.
 
-    __slots__ = ("formula", "evaluator", "decisive", "atom_templates")
+    ``atom_templates`` lists every relation atom of the guard whose arguments
+    are all register variables.  ``literal_templates`` lists the top-level
+    conjuncts that are such an atom or its negation, with their polarity;
+    it is empty unless the guard is ``decisive`` (every atom compiled), the
+    only case in which a violated conjunct makes the evaluation ``False``
+    rather than :data:`~repro.logic.threevalued.UNKNOWN`.  Both are
+    extracted once, here, and live exactly as long as the compiled guard.
+    """
+
+    __slots__ = ("formula", "evaluator", "decisive", "atom_templates", "literal_templates")
 
     def __init__(
         self,
@@ -248,33 +265,58 @@ class CompiledGuard:
         evaluator: Callable[[DeltaContext], Any],
         decisive: bool,
         atom_templates: Tuple[AtomTemplate, ...],
+        literal_templates: Tuple[LiteralTemplate, ...] = (),
     ) -> None:
         self.formula = formula
         self.evaluator = evaluator
         self.decisive = decisive
         self.atom_templates = atom_templates
+        self.literal_templates = literal_templates
+
+
+def _register_slots(atom: RelationAtom) -> Optional[Tuple[TemplateSlot, ...]]:
+    """The atom's argument slots, or None unless every argument is a register."""
+    slots: List[TemplateSlot] = []
+    for term in atom.args:
+        if not isinstance(term, Var):
+            return None
+        name = term.name
+        if name.endswith(OLD_SUFFIX):
+            slots.append(("old", name[: -len(OLD_SUFFIX)]))
+        elif name.endswith(NEW_SUFFIX):
+            slots.append(("new", name[: -len(NEW_SUFFIX)]))
+        else:
+            return None
+    return tuple(slots)
 
 
 def _atom_templates(guard: Formula) -> Tuple[AtomTemplate, ...]:
     """Relation atoms whose arguments are all register variables, as slots."""
     templates: List[AtomTemplate] = []
     for atom in guard.atoms():
-        if not isinstance(atom, RelationAtom):
-            continue
-        slots: List[TemplateSlot] = []
-        for term in atom.args:
-            if not isinstance(term, Var):
-                break
-            name = term.name
-            if name.endswith(OLD_SUFFIX):
-                slots.append(("old", name[: -len(OLD_SUFFIX)]))
-            elif name.endswith(NEW_SUFFIX):
-                slots.append(("new", name[: -len(NEW_SUFFIX)]))
-            else:
-                break
-        else:
-            templates.append((atom.symbol, tuple(slots)))
+        if isinstance(atom, RelationAtom):
+            slots = _register_slots(atom)
+            if slots is not None:
+                templates.append((atom.symbol, slots))
     return tuple(templates)
+
+
+def _literal_templates(guard: Formula) -> Tuple[LiteralTemplate, ...]:
+    """Top-level conjuncts of ``guard`` that are register atoms or their negations."""
+    literals: List[LiteralTemplate] = []
+    pending = [guard]
+    while pending:
+        formula = pending.pop()
+        if isinstance(formula, And):
+            pending.extend(reversed(formula.operands))
+            continue
+        positive = not isinstance(formula, Not)
+        atom = formula if positive else formula.operand
+        if isinstance(atom, RelationAtom):
+            slots = _register_slots(atom)
+            if slots is not None:
+                literals.append((atom.symbol, slots, positive))
+    return tuple(literals)
 
 
 def compile_guard(
@@ -295,7 +337,13 @@ def compile_guard(
             _reorder_by_selectivity(guard), _AtomCompiler(schema, function_symbols)
         )
     note_plan_compilation()
-    return CompiledGuard(guard, evaluator, compiler.decisive, _atom_templates(guard))
+    return CompiledGuard(
+        guard,
+        evaluator,
+        compiler.decisive,
+        _atom_templates(guard),
+        _literal_templates(guard) if compiler.decisive else (),
+    )
 
 
 def compiled_guard_for(theory, guard: Formula) -> Optional[CompiledGuard]:
@@ -343,10 +391,11 @@ class PlanStatistics:
         #: Candidates the compiled evaluator could not decide (UNKNOWN);
         #: the engine materialized the database and evaluated authoritatively.
         self.fallback_evaluations = 0
-        #: Enumeration branches the theory pruned internally (register
-        #: assignments or tuple-subset choices whose guard can never hold);
-        #: the legacy pre-filters prune the same branches, so these never
-        #: surface as candidates on either path.
+        #: Enumeration branches the theory evaluated and pruned internally
+        #: (register assignments or tuple-subset choices whose guard can
+        #: never hold); the legacy pre-filters prune the same branches, so
+        #: these never surface as candidates on either path.  Tuple subsets
+        #: a forced literal excludes are never generated, so never counted.
         self.enumeration_pruned = 0
 
     def as_dict(self) -> Dict[str, int]:

@@ -42,7 +42,7 @@ from typing import (
 
 from repro.errors import StructureError
 from repro.logic.schema import Schema
-from repro.perf import BoundedCache, caches_enabled
+from repro.perf import caches_enabled
 
 Element = Any
 TupleOfElements = Tuple[Element, ...]
@@ -533,10 +533,9 @@ class Structure:
         Two structures get the same key iff they are equal (same schema, same
         domain, same interpretations) -- the key is the content of the
         structure rendered in a deterministic order, independent of the
-        insertion order of tuples or the identity of the containers.  It is
-        the interning key of :class:`StructureInterner` and a convenient
-        dictionary key for per-structure memo tables.  Computed once and
-        cached (structures are immutable).
+        insertion order of tuples or the identity of the containers, and a
+        convenient dictionary key for per-structure memo tables.  Computed
+        once and cached (structures are immutable).
         """
         if self._canonical_key is None:
             relation_part = tuple(
@@ -642,7 +641,7 @@ def singleton_structure(schema: Schema, element: Element = 0) -> Structure:
     return Structure(schema, [element], functions=functions)
 
 
-# -- isomorphism-canonical forms and hash-consing ------------------------------
+# -- isomorphism-canonical forms --------------------------------------------------
 
 
 def _invariant_signature(structure: Structure, element: Element) -> tuple:
@@ -679,9 +678,9 @@ def isomorphism_key(structure: Structure, max_size: int = 8) -> tuple:
     Elements are renamed to ``0..n-1``; among all signature-preserving
     renamings the lexicographically least encoding is returned, so two
     isomorphic structures always produce the same key.  The search is
-    exponential in the worst case, which is fine for the register-generated
-    substructures the solvers intern (their size is bounded by the register
-    count and the class blowup); beyond ``max_size`` elements the key falls
+    exponential in the worst case, which is fine for register-generated
+    substructures (their size is bounded by the register count and the
+    class blowup); beyond ``max_size`` elements the key falls
     back to the labelled :meth:`Structure.canonical_key` (still deterministic,
     but only equal for *equal* structures), tagged so the two regimes can
     never collide.
@@ -724,51 +723,3 @@ def isomorphism_key(structure: Structure, max_size: int = 8) -> tuple:
             best = candidate
     signature_part = tuple(sorted((s, len(g)) for s, g in groups.items()))
     return ("canonical", hash(structure.schema), signature_part, best)
-
-
-class StructureInterner:
-    """Hash-consing of structures: one shared instance per canonical content.
-
-    Solvers produce large numbers of equal (and often isomorphic) small
-    structures while enumerating sub-transitions.  Interning maps each of
-    them to a single representative, so downstream hashing, equality checks
-    and per-structure caches (closure, tuple index) are paid once per
-    distinct structure instead of once per copy.
-
-    By default structures are deduplicated by *equality* (labelled canonical
-    key).  ``up_to_isomorphism=True`` additionally folds isomorphic small
-    structures onto one representative -- only sound for callers that treat
-    structures up to isomorphism, e.g. membership caches.
-    """
-
-    def __init__(
-        self,
-        name: str = "structure_interner",
-        up_to_isomorphism: bool = False,
-        max_iso_size: int = 8,
-        cap: int = 1 << 16,
-    ) -> None:
-        self._cache = BoundedCache(name, cap=cap)
-        self._up_to_isomorphism = up_to_isomorphism
-        self._max_iso_size = max_iso_size
-
-    def intern(self, structure: Structure) -> Structure:
-        """The shared representative of ``structure`` (itself on first sight)."""
-        if not caches_enabled():
-            return structure
-        if self._up_to_isomorphism:
-            key = isomorphism_key(structure, max_size=self._max_iso_size)
-        else:
-            key = structure.canonical_key()
-        representative = self._cache.get(key)
-        if representative is not None:
-            return representative
-        self._cache.put(key, structure)
-        return structure
-
-    @property
-    def stats(self):
-        return self._cache.stats
-
-    def __len__(self) -> int:
-        return len(self._cache)

@@ -1,8 +1,8 @@
 """Engine-wide performance switches and cache instrumentation.
 
 The fast-path engine core introduced with the canonicalisation layer keeps a
-number of memo tables (canonical abstraction keys, interned structures,
-guard-evaluation results on canonical deltas, skeleton placement tables).
+number of memo tables (the word, tree and data-value theories' abstraction
+keys, compiled guards, skeleton placement tables).
 All of them are *behaviour-preserving*: with caching disabled the solvers
 recompute every canonical form from scratch, exactly like the pre-refactor
 engine.  The global switch exists so the benchmark runner can measure the

@@ -50,6 +50,20 @@ happens at three stages of the factored enumeration:
   their guard pre-decided, so the engine rejects them without
   materializing or canonicalizing anything.
 
+Two further steps keep the enumeration from generating work it would
+discard:
+
+* **forced literals** -- a top-level conjunct of a decisive guard that is a
+  register atom, or its negation, and names a tuple touching a fresh element
+  fixes whether that tuple is in every satisfying candidate; the subset
+  enumeration puts it in (or leaves it out) instead of testing every subset
+  (:meth:`RelationalTheory._relevant_subsets`);
+* **keys from the delta** -- every element of the register-generated
+  substructure is a register value, so a candidate's abstraction key is a
+  function of its new valuation, the facts of the parent witness among the
+  old register values and the new tuples (:meth:`RelationalTheory.delta_key`);
+  the engine builds the successor witness only for a key it has not seen.
+
 Guards that cannot be compiled (symbols outside the witness schema such as
 data-value relations, non-variable terms, quantifiers) evaluate to UNKNOWN
 and are kept conservatively; the engine's authoritative evaluation on the
@@ -62,7 +76,18 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import FormulaError
 from repro.fraisse.base import (
@@ -73,15 +98,10 @@ from repro.fraisse.base import (
     combined_guard_valuation,
     set_partitions,
 )
-from repro.fraisse.plans import AtomTemplate, DeltaContext
+from repro.fraisse.plans import AtomTemplate, DeltaContext, LiteralTemplate, TemplateSlot
 from repro.logic.formulas import Formula, RelationAtom
 from repro.logic.schema import Schema
-from repro.logic.structures import (
-    Element,
-    Structure,
-    StructureInterner,
-    sorted_key_list,
-)
+from repro.logic.structures import Element, Structure, sorted_key_list
 from repro.logic.terms import Term, Var
 from repro.logic.threevalued import UNKNOWN
 from repro.perf import caches_enabled
@@ -91,6 +111,9 @@ Decoration = Tuple[Tuple[str, Tuple[Element, ...]], ...]
 """A decoration is a tuple of relation facts attached to a fresh element
 (for example its colour predicate in a HOM theory)."""
 
+Fact = Tuple[str, Tuple[Element, ...]]
+"""One relation tuple: the relation name and its elements."""
+
 
 class RelationalTheory(DatabaseTheory):
     """Base class of theories whose members are relational structures."""
@@ -99,9 +122,9 @@ class RelationalTheory(DatabaseTheory):
         if not schema.is_relational:
             raise ValueError("relational theories require purely relational schemas")
         self._schema = schema
-        # Seed witnesses are interned per theory, like every other engine
-        # memo table: a job builds its own theory, so none outlives the job.
-        self._interner = StructureInterner("witness_interner")
+        # The facts among the register values of the last configuration
+        # delta_key saw: the engine keys every candidate of one node in a row.
+        self._parent_facts: Optional[Tuple[TheoryConfiguration, Tuple[Fact, ...]]] = None
 
     # -- DatabaseTheory interface ----------------------------------------------
 
@@ -221,9 +244,7 @@ class RelationalTheory(DatabaseTheory):
         relations = {name: set(facts) for name, facts in decoration_facts.items()}
         for relation, t in chosen:
             relations[relation].add(t)
-        witness = self._interner.intern(
-            Structure(schema, elements, relations=relations, validate=False)
-        )
+        witness = Structure(schema, elements, relations=relations, validate=False)
         return TheoryConfiguration.make(witness, valuation, fresh_elements=tuple(elements))
 
     # -- successors ----------------------------------------------------------------
@@ -301,6 +322,10 @@ class RelationalTheory(DatabaseTheory):
         evaluator = compiled.evaluator
         stats = plan.stats
         free_names = set(self.free_relation_names())
+        # A literal fixes its tuple only if no decoration can add that tuple.
+        forcible_names = free_names - {
+            relation for decoration in self.element_decorations() for relation, _ in decoration
+        }
         relation_of = {name: witness.relation(name) for name in schema.relation_names}
 
         # One closure set per call; the mutable cells below are updated in
@@ -362,6 +387,7 @@ class RelationalTheory(DatabaseTheory):
                 stats,
                 schema,
                 free_names,
+                forcible_names,
                 relation_of,
                 added_facts,
                 fact_candidate,
@@ -378,8 +404,9 @@ class RelationalTheory(DatabaseTheory):
         stats,
         schema: Schema,
         free_names: Set[str],
+        forcible_names: Set[str],
         relation_of: Dict[str, Iterable[Tuple[Element, ...]]],
-        added_facts: Set[Tuple[str, Tuple[Element, ...]]],
+        added_facts: Set[Fact],
         fact_candidate,
         old_values: List[Element],
         valuation_old: Dict[str, Element],
@@ -388,17 +415,30 @@ class RelationalTheory(DatabaseTheory):
     ) -> Iterator[CandidateDelta]:
         """Deltas extending the witness by ``fresh_elements`` (factored form).
 
-        Mirrors the legacy :meth:`_extended_witnesses` enumeration exactly
-        (decorations x guard-relevant subsets x guard-irrelevant subsets, in
-        the same order) but evaluates the compiled guard on the delta facts
-        instead of building a small structure, and defers building the
-        extended witness to :meth:`apply_delta`.
+        Yields exactly the surviving candidates of the legacy
+        :meth:`_extended_witnesses` enumeration, in the same order
+        (decorations x guard-relevant subsets x guard-irrelevant subsets),
+        but evaluates the compiled guard on the delta facts instead of
+        building a small structure, and defers building the extended witness
+        to :meth:`apply_delta`.  The guard-relevant subsets come from
+        :meth:`_relevant_subsets`: a tuple the guard's forced literals put in
+        or leave out of every satisfying candidate is fixed rather than
+        chosen, so only the remaining tuples' subsets are evaluated, and a
+        decoration (or the whole assignment) whose forced literals cannot all
+        hold yields nothing.  The guard-relevant tuples are deduplicated in
+        first-occurrence order, so a tuple two guard atoms name is one
+        choice.
         """
         evaluator = compiled.evaluator
         new_values = sorted_key_list(set(valuation_new.values()))
         new_value_set = set(new_values)
         old_only_set = {e for e in old_values if e not in new_value_set}
         fresh_set = set(fresh_elements)
+        forced_in, forced_out = _forced_tuples(
+            compiled.literal_templates, valuation_old, valuation_new, forcible_names, fresh_set
+        )
+        if not forced_in.isdisjoint(forced_out):
+            return  # a tuple forced both in and out: no candidate satisfies the guard
         future_tuples = self._all_tuples(new_values, fresh_elements)
         guard_tuples = _instantiate_templates(
             compiled.atom_templates, valuation_old, valuation_new, free_names
@@ -413,7 +453,7 @@ class RelationalTheory(DatabaseTheory):
             and not all(e in new_value_set for e in t)
         ]
         guard_atom_set = set(guard_tuples)
-        relevant_future = [ft for ft in future_tuples if ft in guard_atom_set]
+        relevant = [ft for ft in future_tuples if ft in guard_atom_set] + mixed_tuples
         irrelevant_future = [ft for ft in future_tuples if ft not in guard_atom_set]
         valuation_items = tuple(sorted(valuation_new.items()))
         fresh_tuple = tuple(fresh_elements)
@@ -438,7 +478,7 @@ class RelationalTheory(DatabaseTheory):
                 for relation, facts in overlay.items():
                     unary_facts[relation] = set(relation_of[relation]) | facts
             allowed = self.tuple_filter(unary_facts)
-            for chosen_relevant in self._tuple_subsets(relevant_future + mixed_tuples, allowed):
+            for chosen_relevant in self._relevant_subsets(relevant, allowed, forced_in, forced_out):
                 added_facts.clear()
                 added_facts.update(decoration_pairs)
                 added_facts.update(chosen_relevant)
@@ -455,6 +495,36 @@ class RelationalTheory(DatabaseTheory):
                         status,
                         None,
                     )
+
+    def _relevant_subsets(
+        self,
+        candidates: List[Fact],
+        allowed_fn: Callable[[str, Tuple[Element, ...]], bool],
+        forced_in: Set[Fact],
+        forced_out: Set[Fact],
+    ) -> Iterator[Tuple[Fact, ...]]:
+        """The subsets of the allowed ``candidates`` that keep the forced literals.
+
+        The same subsets, in the same order, as :meth:`_tuple_subsets`
+        filtered to those containing every tuple of ``forced_in`` and none
+        of ``forced_out``.  Each is a subset of the remaining tuples with the
+        forced-in tuples merged in by their position in the list; merging a
+        fixed set keeps both the size order and, within a size, the
+        lexicographic order of :func:`itertools.combinations`.  Nothing is
+        yielded when a forced-in tuple is not allowed.
+        """
+        if not forced_in and not forced_out:
+            yield from self._tuple_subsets(candidates, allowed_fn)
+            return
+        allowed = [(relation, t) for relation, t in candidates if allowed_fn(relation, t)]
+        forced = [fact for fact in allowed if fact in forced_in]
+        if len(forced) < len(forced_in):
+            return
+        rest = [fact for fact in allowed if fact not in forced_in and fact not in forced_out]
+        position = {fact: index for index, fact in enumerate(allowed)}
+        for size in range(len(rest) + 1):
+            for chosen in itertools.combinations(rest, size):
+                yield tuple(sorted(forced + list(chosen), key=position.__getitem__))
 
     def apply_delta(
         self, config: TheoryConfiguration, delta: CandidateDelta
@@ -482,6 +552,40 @@ class RelationalTheory(DatabaseTheory):
             validate=False,
         )
         return TheoryConfiguration(extended, delta.valuation_items, delta.fresh_elements)
+
+    # -- abstraction keys ---------------------------------------------------------
+
+    def abstraction_key(self, config: TheoryConfiguration) -> Hashable:
+        """The :func:`~repro.fraisse.base.generic_abstraction_key` of ``config``.
+
+        A relational witness has no function symbols, so its
+        register-generated substructure is the register values with the
+        facts among them; :func:`relational_key` reads the key off those
+        facts without the generic closure walk.
+        """
+        return relational_key(config.valuation_items, _facts(config.witness))
+
+    def delta_key(
+        self, config: TheoryConfiguration, delta: CandidateDelta
+    ) -> Tuple[Hashable, Optional[TheoryConfiguration]]:
+        """The key of ``apply_delta(config, delta)``, without building it.
+
+        The new register values are old register values or fresh elements,
+        so the facts among them are the parent's facts among its register
+        values plus the delta's new tuples.  A delta that already carries
+        its configuration (the default enumeration) is keyed as built.
+        """
+        if delta.payload is not None:
+            return super().delta_key(config, delta)
+        parent = self._parent_facts
+        if parent is None or parent[0] is not config:
+            values = {value for _, value in config.valuation_items}
+            facts = tuple(
+                (name, t) for name, t in _facts(config.witness) if all(e in values for e in t)
+            )
+            parent = self._parent_facts = (config, facts)
+        facts = itertools.chain(parent[1], delta.new_tuples)
+        return relational_key(delta.valuation_items, facts), None
 
     # -- internal helpers -------------------------------------------------------
 
@@ -658,7 +762,7 @@ class RelationalTheory(DatabaseTheory):
         for register in registers:
             combined[old(register)] = valuation_old[register]
             combined[new(register)] = valuation_new[register]
-        tuples: List[Tuple[str, Tuple[Element, ...]]] = []
+        tuples: Dict[Fact, None] = {}
         for atom in guard.atoms():
             if not isinstance(atom, RelationAtom):
                 continue
@@ -673,8 +777,8 @@ class RelationalTheory(DatabaseTheory):
                     break
                 instantiated.append(value)
             if resolvable:
-                tuples.append((atom.symbol, tuple(instantiated)))
-        return tuples
+                tuples[(atom.symbol, tuple(instantiated))] = None
+        return list(tuples)
 
     @staticmethod
     def _next_element_id(witness: Structure) -> int:
@@ -740,26 +844,101 @@ def _instantiate_templates(
     valuation_new: Dict[str, Element],
     free_names: Set[str],
 ) -> List[Tuple[str, Tuple[Element, ...]]]:
-    """Resolve a plan's guard-atom templates into concrete tuples.
+    """Resolve a plan's guard-atom templates into distinct concrete tuples.
 
     The compiled-plan replacement of the legacy per-assignment formula walk
     (:meth:`RelationalTheory._guard_instantiated_tuples`): the plan extracted
     the register slots once at compilation, so per assignment this is a few
-    dictionary lookups per guard atom.
+    dictionary lookups per guard atom.  Both keep the first occurrence of a
+    tuple that several atoms name (the same atom written twice, or atoms
+    that collapse under the register values), so it is one choice in the
+    subset enumeration.
     """
-    tuples: List[Tuple[str, Tuple[Element, ...]]] = []
+    tuples: Dict[Fact, None] = {}
     for symbol, slots in atom_templates:
-        if symbol not in free_names:
+        if symbol in free_names:
+            resolved = _resolve_slots(slots, valuation_old, valuation_new)
+            if resolved is not None:
+                tuples[(symbol, resolved)] = None
+    return list(tuples)
+
+
+def _resolve_slots(
+    slots: Tuple[TemplateSlot, ...],
+    valuation_old: Dict[str, Element],
+    valuation_new: Dict[str, Element],
+) -> Optional[Tuple[Element, ...]]:
+    """The elements a template's register slots name, or None if one is unset."""
+    resolved: List[Element] = []
+    for which, register in slots:
+        value = (valuation_old if which == "old" else valuation_new).get(register)
+        if value is None:
+            return None
+        resolved.append(value)
+    return tuple(resolved)
+
+
+def _forced_tuples(
+    literal_templates: Tuple[LiteralTemplate, ...],
+    valuation_old: Dict[str, Element],
+    valuation_new: Dict[str, Element],
+    names: Set[str],
+    fresh: Set[Element],
+) -> Tuple[Set[Fact], Set[Fact]]:
+    """The tuples a step's forced literals put in and leave out of every candidate.
+
+    A literal (a top-level guard conjunct that is a register atom or its
+    negation) whose tuple touches a fresh element holds only if the chosen
+    new tuples contain that tuple (positive) or do not (negative): a fresh
+    element has no fact in the witness, and ``names`` excludes relations a
+    decoration could add.  Literals on old elements only are decided by the
+    witness and are not forced.
+    """
+    forced_in: Set[Fact] = set()
+    forced_out: Set[Fact] = set()
+    for symbol, slots, positive in literal_templates:
+        if symbol not in names:
             continue
-        resolved: List[Element] = []
-        complete = True
-        for which, register in slots:
-            source = valuation_old if which == "old" else valuation_new
-            value = source.get(register)
-            if value is None:
-                complete = False
+        resolved = _resolve_slots(slots, valuation_old, valuation_new)
+        if resolved is not None and any(e in fresh for e in resolved):
+            (forced_in if positive else forced_out).add((symbol, resolved))
+    return forced_in, forced_out
+
+
+def relational_key(
+    valuation_items: Iterable[Tuple[str, Element]], facts: Iterable[Fact]
+) -> Hashable:
+    """:func:`~repro.fraisse.base.generic_abstraction_key` of a relational configuration.
+
+    ``facts`` must contain every fact among the register values; facts on
+    other elements are skipped.  Each register value is named by its
+    registers joined with ``|`` in sorted order, as the generic key names
+    depth-0 elements, so the result is the very value the generic key gives
+    the configuration's witness and valuation: the search's ``visited``
+    order and best-first scores depend on that value, not just on the
+    equivalence it induces.
+    """
+    items = sorted(valuation_items)
+    names: Dict[Element, str] = {}
+    for register, value in items:
+        name = names.get(value)
+        names[value] = register if name is None else f"{name}|{register}"
+    relation_part: List[Tuple[str, ...]] = []
+    for symbol, t in facts:
+        named = [symbol]
+        for element in t:
+            name = names.get(element)
+            if name is None:
                 break
-            resolved.append(value)
-        if complete:
-            tuples.append((symbol, tuple(resolved)))
-    return tuples
+            named.append(name)
+        else:
+            relation_part.append(tuple(named))
+    register_part = tuple((register, names[value]) for register, value in items)
+    return (register_part, frozenset(relation_part), frozenset())
+
+
+def _facts(witness: Structure) -> Iterator[Fact]:
+    """Every relation tuple of ``witness``."""
+    for name in witness.schema.relation_names:
+        for t in witness.relation(name):
+            yield name, t

@@ -96,10 +96,9 @@ def test_statistics_and_cache_counters_are_populated():
     assert stats.candidates_generated > 0
     assert stats.configurations_enqueued > 0
     assert stats.duplicate_keys_pruned > 0
-    # Every abstraction key computed registers as a hit or a miss, and
-    # revisited candidates reuse the memoised canonical form.
+    # Every abstraction key computed registers as a miss: the engine keeps
+    # no key memo, so hits stay 0.
     assert stats.key_cache_misses > 0
-    assert stats.key_cache_hits > 0
     payload = stats.as_dict()
     for field in (
         "duplicate_keys_pruned",
@@ -110,14 +109,19 @@ def test_statistics_and_cache_counters_are_populated():
         assert field in payload
 
 
-def test_key_cache_hits_on_repeated_checks():
-    """Re-checking the same system reuses memoised abstraction keys."""
+def test_repeated_check_on_one_solver_is_identical():
+    """A second check on the same solver repeats the first, times apart."""
     system = triangle_system()
     solver = EmptinessSolver(AllDatabasesTheory(GRAPH_SCHEMA))
     first = solver.check(system)
     second = solver.check(system)
     assert first.nonempty == second.nonempty
-    assert second.statistics.key_cache_hits > 0
+    timeless = [
+        {name: value for name, value in result.statistics.as_dict().items()
+         if name != "elapsed_seconds"}
+        for result in (first, second)
+    ]
+    assert timeless[0] == timeless[1]
 
 
 def test_dfs_explores_at_most_as_many_configurations_on_nonempty():

@@ -187,36 +187,3 @@ def test_isomorphism_key_identifies_isomorphic_structures():
     # Beyond the size cap the key falls back to the labelled regime.
     big = Structure(GRAPH, range(10), relations={"E": [(i, i + 1) for i in range(9)]})
     assert isomorphism_key(big, max_size=4)[0] == "labelled"
-
-
-def test_structure_interner_hash_conses_equal_structures():
-    from repro.logic.structures import StructureInterner
-
-    interner = StructureInterner("test_interner_eq")
-    first = triangle()
-    second = triangle()
-    assert interner.intern(first) is first
-    assert interner.intern(second) is first
-    assert interner.stats.hits == 1 and interner.stats.misses == 1
-
-
-def test_structure_interner_up_to_isomorphism():
-    from repro.logic.structures import StructureInterner
-
-    interner = StructureInterner("test_interner_iso", up_to_isomorphism=True)
-    a = Structure(GRAPH, [0, 1], relations={"E": [(0, 1)]})
-    b = Structure(GRAPH, ["x", "y"], relations={"E": [("x", "y")]})
-    representative = interner.intern(a)
-    assert interner.intern(b) is representative
-
-
-def test_interning_disabled_with_caches_off():
-    from repro.logic.structures import StructureInterner
-    from repro.perf import caches_disabled
-
-    interner = StructureInterner("test_interner_off")
-    with caches_disabled():
-        first = triangle()
-        second = triangle()
-        assert interner.intern(first) is first
-        assert interner.intern(second) is second
