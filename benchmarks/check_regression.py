@@ -5,9 +5,12 @@ Two guarded records, selected with ``--kind``:
 
 * ``engine`` (the default) compares a freshly produced ``BENCH_engine.json``
   (typically the ``--smoke`` variant from the CI benchmark job) against the
-  committed record.  The check fails when
+  committed record.  Each engine row carries ``normalized``: the workload's
+  best time divided by the best time of a fixed pure-Python calibration
+  loop run in the same process, so most of the machine's speed cancels out.
+  The check fails when
 
-      current_speedup < max(min_floor, committed_speedup * tolerance)
+      current_normalized > committed_normalized / tolerance
 
   for the gated workload (``bench_e2``, the HOM scaling instance the
   compiled transition plans target).  It also gates the witness-certificate
@@ -31,8 +34,8 @@ Two guarded records, selected with ``--kind``:
 
 Both guards are tolerance-based: the committed records are produced in
 ``full`` mode on a quiet machine while CI runs the smaller smoke workload
-on noisy shared runners, so floors are fractions of the committed numbers,
-never exact matches.
+on noisy shared runners, so each bound is the committed number scaled by a
+tolerance, never an exact match.
 
 Usage::
 
@@ -52,12 +55,10 @@ import json
 import sys
 from pathlib import Path
 
-#: Fraction of the committed speedup the fresh run must retain.
+#: The fresh normalised time may be at most the committed one divided by
+#: this (0.25: four times slower).  With every compiled guard reading
+#: UNKNOWN, bench_e2 measured 34 times slower.
 DEFAULT_TOLERANCE = 0.25
-
-#: Absolute floor: regardless of the committed record, the fast path must
-#: beat the legacy path by at least this factor on bench_e2.
-DEFAULT_MIN_FLOOR = 1.5
 
 #: Keep-alive vs close-per-request: persistent connections must at least
 #: break even (a little slack for scheduling noise on shared runners).
@@ -101,8 +102,8 @@ class GuardDataError(Exception):
     """A benchmark record cannot answer the guarded question."""
 
 
-def _speedup_of(record: dict, record_name: str, workload: str) -> float:
-    """The recorded speedup for ``workload``, or a hard, explicit failure.
+def _normalized_of(record: dict, record_name: str, workload: str) -> float:
+    """The recorded normalised time for ``workload``, or a hard, explicit failure.
 
     A missing or renamed workload key must never pass silently: a guard
     that cannot find its bench is a guard that checks nothing, so this is
@@ -126,13 +127,15 @@ def _speedup_of(record: dict, record_name: str, workload: str) -> float:
             f"{record_name} record entry for {workload!r} is not an object "
             f"(got {entry!r})"
         )
-    speedup = entry.get("speedup")
-    if not isinstance(speedup, (int, float)):
+    normalized = entry.get("normalized")
+    if not isinstance(normalized, (int, float)) or normalized <= 0:
         raise GuardDataError(
-            f"{record_name} record has no usable speedup for {workload!r} "
-            f"(got {speedup!r})"
+            f"{record_name} record has no usable normalized time for {workload!r} "
+            f"(got {normalized!r}); a record from before normalised engine "
+            "timings carries a speedup instead -- regenerate it with "
+            "benchmarks/run_all.py"
         )
-    return speedup
+    return normalized
 
 
 def _certify_of(record: dict, record_name: str) -> dict:
@@ -165,7 +168,6 @@ def check(
     current_path: Path,
     workload: str = "bench_e2",
     tolerance: float = DEFAULT_TOLERANCE,
-    min_floor: float = DEFAULT_MIN_FLOOR,
     max_certify_overhead: float = DEFAULT_MAX_CERTIFY_OVERHEAD_PERCENT,
 ) -> int:
     try:
@@ -179,24 +181,24 @@ def check(
         print(f"GUARD FAILURE: cannot read current record {current_path}: {error}", file=sys.stderr)
         return 2
     try:
-        committed = _speedup_of(baseline, "baseline", workload)
-        fresh = _speedup_of(current, "current", workload)
+        committed = _normalized_of(baseline, "baseline", workload)
+        fresh = _normalized_of(current, "current", workload)
         fresh_certify = _certify_of(current, "current")
     except GuardDataError as error:
         print(f"GUARD FAILURE: {error}", file=sys.stderr)
         return 2
-    floor = max(min_floor, committed * tolerance)
+    ceiling = committed / tolerance
     print(
-        f"{workload}: committed {committed:.2f}x "
-        f"({baseline.get('mode', '?')} mode), fresh {fresh:.2f}x "
-        f"({current.get('mode', '?')} mode), floor {floor:.2f}x"
+        f"{workload}: committed normalized time {committed:.2f} "
+        f"({baseline.get('mode', '?')} mode), fresh {fresh:.2f} "
+        f"({current.get('mode', '?')} mode), ceiling {ceiling:.2f}"
     )
     failed = False
-    if fresh < floor:
+    if fresh > ceiling:
         print(
-            f"REGRESSION: {workload} fast-path speedup {fresh:.2f}x dropped "
-            f"below the floor {floor:.2f}x "
-            f"(committed {committed:.2f}x, tolerance {tolerance})",
+            f"REGRESSION: {workload} normalized time {fresh:.2f} rose above "
+            f"the ceiling {ceiling:.2f} "
+            f"(committed {committed:.2f}, tolerance {tolerance})",
             file=sys.stderr,
         )
         failed = True
@@ -409,9 +411,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="bench_e2",
                         help="gated engine workload (default: bench_e2)")
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="fraction of the committed number to require")
-    parser.add_argument("--min-floor", type=float, default=DEFAULT_MIN_FLOOR,
-                        help="absolute minimum acceptable engine speedup")
+                        help="engine: fresh normalized time may be at most the "
+                        "committed one / tolerance; service: fraction of the "
+                        "committed throughput to require")
     parser.add_argument("--max-certify-overhead", type=float,
                         default=DEFAULT_MAX_CERTIFY_OVERHEAD_PERCENT,
                         help="maximum seeded-batch slowdown percent with "
@@ -442,8 +444,7 @@ def main(argv=None) -> int:
         )
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     return check(
-        args.baseline, args.current, args.workload, tolerance, args.min_floor,
-        args.max_certify_overhead,
+        args.baseline, args.current, args.workload, tolerance, args.max_certify_overhead,
     )
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Unified benchmark runner: e1-e9 suite, engine fast-path, batch service.
+"""Unified benchmark runner: e1-e9 suite, engine timings, batch service.
 
 Three phases, all optional:
 
@@ -7,17 +7,16 @@ Three phases, all optional:
   and stores pytest-benchmark's machine-readable output as
   ``BENCH_suite.json`` (``--smoke`` keeps only the quick files so CI can
   afford it).
-* **engine** -- measures the fast-path engine core (compiled transition
-  plans + incremental candidate pruning) against the legacy (cache-free)
-  path on the two workloads the refactor targeted: the HOM scaling instance
-  of ``bench_e2`` and the tree exploration of ``bench_e5``.  Both paths run
-  on the same build; the legacy path disables every canonical-form cache
-  and all plan usage via :mod:`repro.perf`, which restores the pre-refactor
-  recompute-everything behaviour.  Results -- including the speedup, the
-  per-plan statistics (pre-materialization rejections, compiled-guard hits)
-  and a cross-check that all three search strategies agree on the e1-e3
-  example systems -- are written to ``BENCH_engine.json``, the perf
-  trajectory baseline for future PRs.  The adversarial ``stress`` phase
+* **engine** -- times the engine (best of rounds) on the HOM scaling
+  instance of ``bench_e2`` and the tree exploration of ``bench_e5``, and
+  times a fixed pure-Python calibration loop in the same process; each
+  workload's ``normalized`` time (seconds / calibration seconds) cancels
+  most of the machine's speed, so records from different machines compare.
+  Every verdict is checked against a fixed expectation.  Results --
+  including the per-plan statistics (pre-materialization rejections,
+  compiled-guard hits) and a cross-check that all three search strategies
+  agree on the e1-e3 example systems -- are written to ``BENCH_engine.json``,
+  the perf trajectory baseline for future changes.  The adversarial ``stress`` phase
   (deep HOM guard templates, wide tree branching; see
   :func:`repro.workloads.stress_workloads`) rides along in the same record.
   ``--profile WORKLOAD`` instead runs one engine/stress workload under
@@ -70,7 +69,7 @@ from repro import (  # noqa: E402
 )
 from repro.fraisse.search import STRATEGY_NAMES  # noqa: E402
 from repro.library import odd_red_cycle_system, triangle_system  # noqa: E402
-from repro.perf import cache_stats_snapshot, caches_disabled, reset_cache_stats  # noqa: E402
+from repro.perf import cache_stats_snapshot, reset_cache_stats  # noqa: E402
 from repro.relational.csp import COLORED_GRAPH_SCHEMA, GRAPH_SCHEMA  # noqa: E402
 from repro.systems.dds import DatabaseDrivenSystem  # noqa: E402
 from repro.trees import TreeRunTheory, tree_schema, universal_automaton  # noqa: E402
@@ -102,18 +101,14 @@ def _tree_exploration_system() -> DatabaseDrivenSystem:
     )
 
 
-def engine_workloads(smoke: bool):
-    """The named (bench, builder) workloads of the engine comparison."""
-    e2_template = 2 if smoke else 3
+def engine_workloads():
+    """The named (bench, builder) workloads of the engine timings."""
     return {
         "bench_e2": {
-            "description": (
-                f"triangle system over HOM(K_{e2_template}) "
-                "(Theorem 4 scaling instance)"
-            ),
+            "description": "triangle system over HOM(K_3) (Theorem 4 scaling instance)",
             "system": triangle_system,
-            "theory": lambda: HomTheory(clique_template(e2_template)),
-            "expected_nonempty": e2_template >= 3,
+            "theory": lambda: HomTheory(clique_template(3)),
+            "expected_nonempty": True,
         },
         "bench_e5": {
             "description": "mutual-ancestor tree system over the universal "
@@ -125,56 +120,89 @@ def engine_workloads(smoke: bool):
     }
 
 
-def _time_check(
-    theory_factory, system, legacy: bool, max_configurations: int = 200_000
-) -> float:
+#: Verdicts of the stress instances at their caps, in smoke and full mode:
+#: the deep HOM instance has a witness, the wide tree instance stops at its
+#: cap without one.
+STRESS_EXPECTED_NONEMPTY = {"stress_hom_deep": True, "stress_tree_wide": False}
+
+
+def _time_check(theory_factory, system, max_configurations: int = 200_000) -> float:
     solver = EmptinessSolver(theory_factory(), max_configurations=max_configurations)
-    if legacy:
-        with caches_disabled():
-            start = time.perf_counter()
-            solver.check(system)
-            return time.perf_counter() - start
     start = time.perf_counter()
     solver.check(system)
     return time.perf_counter() - start
 
 
-def run_engine_comparison(smoke: bool, rounds: int) -> dict:
-    """Fast vs legacy timings (best of ``rounds``) for the target workloads."""
-    results = {}
-    for name, workload in engine_workloads(smoke).items():
-        system = workload["system"]()
-        fast_times = []
-        legacy_times = []
-        verdict = None
-        for _ in range(rounds):
-            fast_times.append(_time_check(workload["theory"], system, legacy=False))
-            legacy_times.append(_time_check(workload["theory"], system, legacy=True))
-        result = EmptinessSolver(workload["theory"]()).check(system)
-        verdict = result.nonempty
-        assert verdict == workload["expected_nonempty"], (
-            f"{name}: engine verdict {verdict} does not match the expected "
-            f"answer {workload['expected_nonempty']}"
-        )
-        fast = min(fast_times)
-        legacy = min(legacy_times)
-        results[name] = {
-            "workload": workload["description"],
-            "nonempty": verdict,
-            "rounds": rounds,
-            "fast_seconds": round(fast, 4),
-            "legacy_seconds": round(legacy, 4),
-            "speedup": round(legacy / fast, 3) if fast > 0 else None,
-            "statistics": result.statistics.as_dict(),
-        }
-        print(
-            f"  {name}: fast {fast:.3f}s  legacy {legacy:.3f}s  "
-            f"speedup {legacy / fast:.2f}x"
-        )
-    return results
+def _calibration_loop() -> None:
+    """A fixed pure-Python workload of the kind the engine does.
+
+    Tuples, dict and set lookups, sorting and small-integer arithmetic, with
+    nothing from ``repro``: its time tracks the machine and the interpreter,
+    not the code under test.
+    """
+    table: dict = {}
+    seen = set()
+    for i in range(100_000):
+        key = (i % 97, (i * 7) % 89, i & 15)
+        table[key] = table.get(key, 0) + 1
+        if key not in seen:
+            seen.add(key)
+    sorted(table.items(), key=lambda item: (item[1], item[0]))
 
 
-def run_telemetry_overhead(smoke: bool, rounds: int) -> dict:
+def _time_calibration() -> float:
+    start = time.perf_counter()
+    _calibration_loop()
+    return time.perf_counter() - start
+
+
+def _timed_record(name: str, workload: dict, rounds: int, max_configurations: int) -> dict:
+    """Best-of-rounds engine and calibration times, the verdict checked.
+
+    The calibration loop runs right before each engine run, so both minima
+    come from the same stretch of the process.
+    """
+    system = workload["system"]()
+    times = []
+    calibration_times = []
+    for _ in range(rounds):
+        calibration_times.append(_time_calibration())
+        times.append(_time_check(workload["theory"], system, max_configurations))
+    result = EmptinessSolver(workload["theory"](), max_configurations=max_configurations).check(
+        system
+    )
+    assert result.nonempty == workload["expected_nonempty"], (
+        f"{name}: engine verdict {result.nonempty} does not match the expected "
+        f"answer {workload['expected_nonempty']}"
+    )
+    seconds = min(times)
+    calibration = min(calibration_times)
+    print(
+        f"  {name}: {seconds:.3f}s  calibration {calibration:.3f}s  "
+        f"normalized {seconds / calibration:.2f}"
+    )
+    return {
+        "workload": workload["description"],
+        "nonempty": result.nonempty,
+        "exhausted": result.exhausted,
+        "max_configurations": max_configurations,
+        "rounds": rounds,
+        "seconds": round(seconds, 4),
+        "calibration_seconds": round(calibration, 4),
+        "normalized": round(seconds / calibration, 3),
+        "statistics": result.statistics.as_dict(),
+    }
+
+
+def run_engine_comparison(rounds: int) -> dict:
+    """Normalised engine timings (best of ``rounds``) for the target workloads."""
+    return {
+        name: _timed_record(name, workload, rounds, max_configurations=200_000)
+        for name, workload in engine_workloads().items()
+    }
+
+
+def run_telemetry_overhead(rounds: int) -> dict:
     """Measure the cost of opt-in solver tracing on the gated workload.
 
     The metrics registry itself is free on the solve path -- counters are
@@ -186,14 +214,14 @@ def run_telemetry_overhead(smoke: bool, rounds: int) -> dict:
     telemetry-off path) and with a recorder attached, putting a measured
     number behind the "zero overhead when off, bounded cost when on" claim.
     """
-    workload = engine_workloads(smoke)["bench_e2"]
+    workload = engine_workloads()["bench_e2"]
     system = workload["system"]()
     untraced_times = []
     traced_times = []
     spans = 0
     events = 0
     for _ in range(rounds):
-        untraced_times.append(_time_check(workload["theory"], system, legacy=False))
+        untraced_times.append(_time_check(workload["theory"], system))
         solver = EmptinessSolver(workload["theory"](), max_configurations=200_000)
         recorder = TraceRecorder()
         start = time.perf_counter()
@@ -308,59 +336,20 @@ def run_certify_benchmark(smoke: bool, rounds: int) -> dict:
 
 
 def run_stress_comparison(smoke: bool, rounds: int) -> dict:
-    """Fast vs legacy timings on the adversarial workload families.
+    """Normalised engine timings on the adversarial workload families.
 
     The ROADMAP's hostile inputs (deep HOM guard templates, wide tree
     branching) measure the compiled-plan pruning where guards are large or
-    enumeration is wide; verdicts are cross-checked between the fast and
-    legacy paths rather than against fixed expectations.
+    enumeration is wide; each verdict is checked against
+    :data:`STRESS_EXPECTED_NONEMPTY`.
     """
     from repro.workloads import stress_workloads
 
     results = {}
     for name, workload in stress_workloads().items():
-        system = workload["system"]()
-        cap = workload[
-            "smoke_max_configurations" if smoke else "max_configurations"
-        ]
-        fast_times = []
-        legacy_times = []
-        for _ in range(rounds):
-            fast_times.append(
-                _time_check(workload["theory"], system, legacy=False,
-                            max_configurations=cap)
-            )
-            legacy_times.append(
-                _time_check(workload["theory"], system, legacy=True,
-                            max_configurations=cap)
-            )
-        fast_result = EmptinessSolver(
-            workload["theory"](), max_configurations=cap
-        ).check(system)
-        with caches_disabled():
-            legacy_result = EmptinessSolver(
-                workload["theory"](), max_configurations=cap
-            ).check(system)
-        assert fast_result.nonempty == legacy_result.nonempty, (
-            f"{name}: fast/legacy verdicts disagree on the stress workload"
-        )
-        fast = min(fast_times)
-        legacy = min(legacy_times)
-        results[name] = {
-            "workload": workload["description"],
-            "nonempty": fast_result.nonempty,
-            "exhausted": fast_result.exhausted,
-            "max_configurations": cap,
-            "rounds": rounds,
-            "fast_seconds": round(fast, 4),
-            "legacy_seconds": round(legacy, 4),
-            "speedup": round(legacy / fast, 3) if fast > 0 else None,
-            "statistics": fast_result.statistics.as_dict(),
-        }
-        print(
-            f"  {name}: fast {fast:.3f}s  legacy {legacy:.3f}s  "
-            f"speedup {legacy / fast:.2f}x"
-        )
+        cap = workload["smoke_max_configurations" if smoke else "max_configurations"]
+        workload = dict(workload, expected_nonempty=STRESS_EXPECTED_NONEMPTY[name])
+        results[name] = _timed_record(name, workload, rounds, max_configurations=cap)
     return results
 
 
@@ -369,7 +358,7 @@ def run_profile(workload_name: str, smoke: bool, top: int) -> int:
     import cProfile
     import pstats
 
-    named = dict(engine_workloads(smoke))
+    named = dict(engine_workloads())
     from repro.workloads import stress_workloads
 
     named.update(stress_workloads())
@@ -925,7 +914,7 @@ def main(argv=None) -> int:
         "--skip-suite", action="store_true", help="skip the pytest-benchmark phase"
     )
     parser.add_argument(
-        "--skip-engine", action="store_true", help="skip the engine comparison phase"
+        "--skip-engine", action="store_true", help="skip the engine timing phase"
     )
     parser.add_argument(
         "--skip-service", action="store_true", help="skip the batch service phase"
@@ -973,21 +962,21 @@ def main(argv=None) -> int:
 
     if not args.skip_engine:
         rounds = args.rounds if args.rounds is not None else (2 if args.smoke else 3)
-        print("running engine fast-path comparison ...")
+        print("running engine timings ...")
         reset_cache_stats()
-        engine = run_engine_comparison(args.smoke, rounds)
+        engine = run_engine_comparison(rounds)
         stress = {}
         if not args.skip_stress:
             print("running adversarial stress phase ...")
             stress = run_stress_comparison(args.smoke, rounds)
         print("measuring telemetry/tracing overhead ...")
-        telemetry_overhead = run_telemetry_overhead(args.smoke, rounds)
+        telemetry_overhead = run_telemetry_overhead(rounds)
         print("measuring witness-certificate overhead and validator payoff ...")
         certify = run_certify_benchmark(args.smoke, rounds)
         print("checking strategy agreement ...")
         agreement = run_strategy_agreement()
         record = {
-            "schema_version": 4,
+            "schema_version": 5,
             "mode": "smoke" if args.smoke else "full",
             "python": platform.python_version(),
             "platform": platform.platform(),

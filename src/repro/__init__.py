@@ -48,9 +48,7 @@ from repro.relational import (
 )
 from repro.perf import (
     cache_stats_snapshot,
-    caches_enabled,
     reset_cache_stats,
-    set_caches_enabled,
 )
 from repro.service import (
     BatchReport,
@@ -98,8 +96,6 @@ __all__ = [
     "odd_red_cycle_free_template",
     "cache_stats_snapshot",
     "reset_cache_stats",
-    "caches_enabled",
-    "set_caches_enabled",
     "VerificationJob",
     "JobResult",
     "ResultStore",

@@ -24,7 +24,7 @@ a remote keyspace served by ``repro store serve``.
   with the engine-independent validator (:mod:`repro.certify`);
 * ``repro bench`` -- shortcut to the unified benchmark runner (equivalent to
   ``python benchmarks/run_all.py`` when running from a checkout);
-* ``repro info`` -- version, available strategies, cache configuration.
+* ``repro info`` -- version, available strategies, engine cache counters.
 
 The CLI exists so deployments installed via ``pip install -e .`` have a
 stable executable without the ``PYTHONPATH=src`` workaround.
@@ -63,7 +63,7 @@ from repro.library import (
     self_loop_required_system,
     triangle_system,
 )
-from repro.perf import cache_stats_snapshot, caches_enabled, set_caches_enabled
+from repro.perf import cache_stats_snapshot
 from repro.relational.csp import COLORED_GRAPH_SCHEMA, GRAPH_SCHEMA
 from repro.service import BatchRunner, ResultStore, RetryPolicy
 from repro.service.server import DEFAULT_MAX_CONNECTIONS, DEFAULT_MAX_PENDING
@@ -138,8 +138,6 @@ def _command_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.no_caches:
-        set_caches_enabled(False)
     solver = EmptinessSolver(
         theory_builder(),
         max_configurations=args.max_configurations,
@@ -215,7 +213,6 @@ def _command_info(args: argparse.Namespace) -> int:
                 {
                     "version": __version__,
                     "strategies": list(STRATEGY_NAMES),
-                    "caches_enabled": caches_enabled(),
                     "cache_stats": stats,
                 },
                 indent=2,
@@ -224,7 +221,6 @@ def _command_info(args: argparse.Namespace) -> int:
         return 0
     print(f"repro {__version__}")
     print(f"  search strategies: {', '.join(STRATEGY_NAMES)}")
-    print(f"  engine caches enabled: {caches_enabled()}")
     if stats:
         print("  cache stats:")
         for name, values in stats.items():
@@ -617,11 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=200_000,
         help="abstract configuration cap (default: 200000)",
     )
-    check.add_argument(
-        "--no-caches",
-        action="store_true",
-        help="run on the legacy cache-free engine path",
-    )
     check.add_argument("--json", action="store_true", help="statistics as JSON")
     check.set_defaults(handler=_command_check)
 
@@ -901,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.set_defaults(handler=_command_bench)
 
-    info = subparsers.add_parser("info", help="version and engine configuration")
+    info = subparsers.add_parser("info", help="version, strategies and engine cache counters")
     info.add_argument("--json", action="store_true", help="machine-readable output")
     info.set_defaults(handler=_command_info)
     return parser

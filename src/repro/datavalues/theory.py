@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.datavalues.homogeneous import HomogeneousStructure, homogeneous_from_spec
 from repro.errors import TheoryError
 from repro.fraisse.base import (
+    CandidateDelta,
     DatabaseTheory,
     TheoryConfiguration,
     generic_abstraction_key,
@@ -69,11 +70,10 @@ class DataValuedTheory(DatabaseTheory):
         self._injective = injective
         self._schema = base.schema.union(values.schema)
         # The engine renders the expanded product database once for the guard
-        # and once for the abstraction key of every candidate; both renders
-        # are pure functions of the (immutable) wrapped witness, so they are
-        # memoised per witness / per (witness, valuation).
+        # and once for the abstraction key of every candidate; the render is
+        # a pure function of the (immutable) wrapped witness, so it is
+        # memoised per witness (see repro.perf).
         self._database_cache = BoundedCache("datavalues_database")
-        self._key_cache = BoundedCache("datavalues_abstraction_key")
 
     # -- accessors -----------------------------------------------------------------
 
@@ -137,11 +137,47 @@ class DataValuedTheory(DatabaseTheory):
         config: TheoryConfiguration,
         transition: Transition,
     ) -> Iterator[TheoryConfiguration]:
+        """The reference enumeration: the base's reference candidates, each
+        under every value labelling of its fresh elements."""
         witness: _DataWitness = config.witness
-        base_system = self._base_system(system)
-        for base_candidate in self._base.successor_configurations(
-            base_system, witness.base_config, transition
-        ):
+        base_candidates = self._base.successor_configurations(
+            self._base_system(system), witness.base_config, transition
+        )
+        return self._labelled(witness, base_candidates)
+
+    def enumerate_deltas(
+        self,
+        system: DatabaseDrivenSystem,
+        config: TheoryConfiguration,
+        transition: Transition,
+        plan=None,
+    ) -> Iterator[CandidateDelta]:
+        """The base's delta stream, built and labelled as the reference is.
+
+        The base decides the base atoms of the guard through its own plan
+        (:meth:`~repro.fraisse.base.DatabaseTheory._transition_plan`); it
+        cannot decide the value atoms.  So every base delta is built, whatever
+        its status, and every labelled candidate carries status UNKNOWN: the
+        engine evaluates the whole guard on the product database.  Applying
+        these deltas gives exactly the stream of :meth:`successor_configurations`.
+        """
+        witness: _DataWitness = config.witness
+        base = self._base
+        base_config = witness.base_config
+        base_deltas = base.enumerate_deltas(
+            self._base_system(system), base_config, transition, base._transition_plan(transition)
+        )
+        base_candidates = (base.apply_delta(base_config, delta) for delta in base_deltas)
+        for candidate in self._labelled(witness, base_candidates):
+            yield CandidateDelta(
+                candidate.valuation_items, candidate.fresh_elements, payload=candidate
+            )
+
+    def _labelled(
+        self, witness: _DataWitness, base_candidates: Iterable[TheoryConfiguration]
+    ) -> Iterator[TheoryConfiguration]:
+        """Each base candidate under every value labelling of its fresh elements."""
+        for base_candidate in base_candidates:
             fresh = self._ordered_elements(base_candidate, base_candidate.fresh_elements)
             for values in self._value_assignments(witness.values, fresh):
                 yield self._wrap(base_candidate, values)
@@ -219,14 +255,6 @@ class DataValuedTheory(DatabaseTheory):
 
     def abstraction_key(self, config: TheoryConfiguration) -> Hashable:
         witness: _DataWitness = config.witness
-        return self._key_cache.get_or_compute(
-            (witness, config.valuation_items),
-            lambda: self._abstraction_key_uncached(config, witness),
-        )
-
-    def _abstraction_key_uncached(
-        self, config: TheoryConfiguration, witness: _DataWitness
-    ) -> Hashable:
         base_key = self._base.abstraction_key(witness.base_config)
         # The value pattern only matters on the register-generated part; the
         # generic key over the expanded database captures exactly the relations

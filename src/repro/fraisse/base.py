@@ -34,7 +34,6 @@ from repro.errors import StructureError
 from repro.logic.schema import Schema
 from repro.logic.structures import Element, Structure, sorted_key_list
 from repro.logic.threevalued import UNKNOWN
-from repro.perf import caches_enabled
 from repro.systems.dds import DatabaseDrivenSystem, Transition
 
 
@@ -81,8 +80,8 @@ class CandidateDelta:
     is the theory's verdict from the compiled plan guard: ``True`` (holds,
     the engine skips the authoritative evaluation), ``False`` (cannot hold,
     the engine rejects without materializing) or
-    :data:`~repro.logic.threevalued.UNKNOWN` (the engine materializes and
-    evaluates the raw guard, the legacy behaviour).  ``payload`` carries
+    :data:`~repro.logic.threevalued.UNKNOWN` (the engine materializes the
+    candidate and evaluates the raw guard on its database).  ``payload`` carries
     theory-private data :meth:`~DatabaseTheory.apply_delta` needs to build
     the configuration (the default fallback stores the already-materialized
     configuration there).
@@ -151,8 +150,9 @@ class DatabaseTheory(ABC):
       to satisfy them;
     * :meth:`successor_configurations` enumerates, up to abstraction
       equivalence, every way of extending the current witness so that the new
-      register values can satisfy the given transition's guard (the engine
-      performs the actual guard evaluation);
+      register values can satisfy the given transition's guard (the caller
+      performs the actual guard evaluation); it is the reference the engine's
+      delta stream (:meth:`enumerate_deltas`) is checked against;
     * :meth:`abstraction_key` canonically identifies the register-generated
       substructure -- the paper's *small configuration*.
     """
@@ -217,8 +217,15 @@ class DatabaseTheory(ABC):
         nondeterministic algorithm admits a sub-transition from the
         abstraction of ``config`` to some small configuration ``B``, then some
         yielded candidate has abstraction ``B`` and satisfies the guard.
-        Implementations need not evaluate the guard (the engine does), but may
+        Implementations need not evaluate the guard (the caller does), but may
         use it to prune.
+
+        This is the theory's *reference enumeration*: it builds every
+        candidate and shares no code with compiled plans.  The engine drives
+        :meth:`enumerate_deltas` instead, and the tests check that applying
+        its deltas gives exactly this stream, in this order.  Theories
+        without a delta stream of their own are driven through this method
+        by the default :meth:`enumerate_deltas`.
         """
 
     @abstractmethod
@@ -251,13 +258,15 @@ class DatabaseTheory(ABC):
     ) -> Iterator[CandidateDelta]:
         """Candidate successors of one transition, as unmaterialized deltas.
 
-        The default fallback preserves today's behaviour exactly: it wraps
+        ``[apply_delta(config, d) for d in enumerate_deltas(...)]`` must equal
+        ``list(successor_configurations(...))``.  The default wraps
         :meth:`successor_configurations`, stores the materialized
         configuration in the delta payload and leaves the guard status
         :data:`UNKNOWN` so the engine performs the authoritative evaluation
         on the full database.  Theories implementing the protocol natively
         (the relational family, trees) enumerate deltas before building
-        databases and pre-decide guards via ``plan``'s compiled evaluator.
+        databases and pre-decide guards via ``plan``'s compiled evaluator;
+        the data-value product wraps its base's deltas.
         """
         for candidate in self.successor_configurations(system, config, transition):
             yield CandidateDelta(
@@ -298,12 +307,12 @@ class DatabaseTheory(ABC):
         return self.database(config).size
 
     def _transition_plan(self, transition: Transition):
-        """A per-instance plan for direct ``successor_configurations`` callers.
+        """A per-instance plan for callers that drive this theory's deltas.
 
         The engine builds and drives its own :class:`~repro.fraisse.plans.PlanSet`;
-        this lazy per-guard memo serves theories whose fast-path
-        ``successor_configurations`` delegates to the incremental enumeration
-        (e.g. when wrapped by the data-value product).
+        this lazy per-guard memo serves a wrapping theory that enumerates
+        this one's deltas itself (the data-value product's
+        :meth:`~repro.datavalues.theory.DataValuedTheory.enumerate_deltas`).
         """
         from repro.fraisse.plans import TransitionPlan, compiled_guard_for
 
@@ -442,25 +451,10 @@ def generic_abstraction_key(database: Structure, valuation: Mapping[str, Element
         (register, name_of(value)) for register, value in sorted(valuation.items())
     )
     relation_part = []
-    if caches_enabled() and isinstance(database, Structure) and database.has_tuple_index():
-        # Fast path: walk only the tuples touching a generated element via
-        # the structure's element index.  Only taken when the index already
-        # exists (owners of repeatedly-queried structures build it with
-        # ensure_tuple_index); for throwaway structures the plain scan below
-        # is cheaper than building an index that would be used once.
-        seen: set = set()
-        for element in generated:
-            for symbol, t in database.tuples_touching(element):
-                if (symbol, t) in seen:
-                    continue
-                seen.add((symbol, t))
-                if all(e in generated for e in t):
-                    relation_part.append((symbol,) + tuple(name_of(e) for e in t))
-    else:
-        for symbol in database.schema.relation_names:
-            for t in database.relation(symbol):
-                if all(e in generated for e in t):
-                    relation_part.append((symbol,) + tuple(name_of(e) for e in t))
+    for symbol in database.schema.relation_names:
+        for t in database.relation(symbol):
+            if all(e in generated for e in t):
+                relation_part.append((symbol,) + tuple(name_of(e) for e in t))
     function_part = []
     if database.schema.function_names:
         generated_list = sorted_key_list(generated)

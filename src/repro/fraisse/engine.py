@@ -31,9 +31,18 @@ through this one admission path: the relational family reads the key off the
 delta, the default builds the configuration once and keys it.  A candidate
 whose compiled guard is UNKNOWN is built and evaluated first, and keyed as
 built.  No key is memoised: each is computed once per candidate that reaches
-it (``key_cache_misses``; ``key_cache_hits`` stays 0).  The legacy,
-cache-free path (:func:`repro.perf.caches_disabled`) builds every candidate
-before its guard and keys it the same way.
+it (``key_cache_misses``; ``key_cache_hits`` stays 0).
+
+One path
+--------
+Every search compiles its system's transition plans
+(:func:`~repro.fraisse.plans.compile_plans`) and drives each transition's plan
+over the theory's delta stream (:meth:`~repro.fraisse.base.DatabaseTheory.enumerate_deltas`).
+A theory's :meth:`~repro.fraisse.base.DatabaseTheory.successor_configurations`
+is its reference enumeration: it builds every candidate the plain way, and the
+tests check each delta stream against it, candidate for candidate.  A theory
+without a delta stream of its own (the word theory) is driven through its
+reference, which the default ``enumerate_deltas`` wraps.
 
 Seeds on demand
 ---------------
@@ -84,7 +93,6 @@ from repro.fraisse.base import (
 from repro.fraisse.plans import PlanSet, compile_plans
 from repro.fraisse.search import PendingSeeds, StrategySpec, abstraction_key_score, make_strategy
 from repro.logic.structures import Structure
-from repro.perf import caches_enabled
 from repro.systems.dds import DatabaseDrivenSystem, Run, Transition
 from repro.telemetry import TraceRecorder
 
@@ -106,6 +114,10 @@ class SearchStatistics:
     both names are kept for stored statistics.  ``plan_enumeration_pruned``
     counts only the enumeration branches a theory evaluated: tuple subsets a
     forced literal excludes are never generated.
+
+    Every candidate the engine counts ends in exactly one place, so
+    ``candidates_generated == plan_rejected_pre_materialization +
+    guard_rejections + duplicate_keys_pruned + configurations_enqueued``.
     """
 
     configurations_explored: int = 0
@@ -120,8 +132,7 @@ class SearchStatistics:
     key_cache_hits: int = 0
     key_cache_misses: int = 0
     strategy: str = "bfs"
-    # Compiled-plan counters (zero on the legacy cache-free path, which
-    # never consults plans).  ``plan_rejected_pre_materialization`` counts
+    # Compiled-plan counters.  ``plan_rejected_pre_materialization`` counts
     # candidates dropped before their successor database was built;
     # ``plan_compiled_guard_hits`` counts candidates whose compiled guard
     # made the authoritative full-database evaluation unnecessary.
@@ -276,19 +287,12 @@ class EmptinessSolver:
         stats = SearchStatistics(strategy=frontier.name)
         start_time = time.perf_counter()
         visited: Dict[Tuple[str, Hashable], int] = {}
-        # Compiled transition plans drive the fast path; with caches disabled
-        # the engine never consults plans and runs the legacy
-        # materialize-then-evaluate loop below.
         if trace is None:
-            plan_set: Optional[PlanSet] = (
-                compile_plans(system, self._theory) if caches_enabled() else None
-            )
-        elif caches_enabled():
+            plan_set = compile_plans(system, self._theory)
+        else:
             with trace.span("compile_plans", "plan") as span_args:
                 plan_set = compile_plans(system, self._theory)
                 span_args["plans"] = len(plan_set)
-        else:
-            plan_set = None
 
         goal: Optional[_SearchNode] = None
         seeds = (
@@ -352,33 +356,21 @@ class EmptinessSolver:
                     drive_start = trace.now()
                     candidates_before = stats.candidates_generated
                     enqueued_before = stats.configurations_enqueued
-                if plan_set is not None:
-                    goal = self._drive_plan(
-                        system,
-                        node,
-                        transition,
-                        plan_set,
-                        frontier,
-                        needs_scores,
-                        visited,
-                        seeded_states,
-                        stats,
-                    )
-                else:
-                    goal = self._drive_legacy(
-                        system,
-                        node,
-                        transition,
-                        frontier,
-                        needs_scores,
-                        visited,
-                        seeded_states,
-                        stats,
-                    )
+                goal = self._drive_plan(
+                    system,
+                    node,
+                    transition,
+                    plan_set,
+                    frontier,
+                    needs_scores,
+                    visited,
+                    seeded_states,
+                    stats,
+                )
                 if trace is not None:
                     trace.add_span(
                         "drive",
-                        "plan" if plan_set is not None else "legacy",
+                        "plan",
                         drive_start,
                         trace.now(),
                         {
@@ -429,7 +421,7 @@ class EmptinessSolver:
         seeded_states: FrozenSet[str],
         stats: SearchStatistics,
     ) -> Optional[_SearchNode]:
-        """Fast path: drive one transition's compiled plan over deltas.
+        """Drive one transition's compiled plan over the theory's deltas.
 
         Guards are checked against each candidate's delta before the
         successor database exists, and only undecided (UNKNOWN) guards build
@@ -482,54 +474,12 @@ class EmptinessSolver:
                 return goal
         return None
 
-    def _drive_legacy(
-        self,
-        system: DatabaseDrivenSystem,
-        node: _SearchNode,
-        transition: Transition,
-        frontier,
-        needs_scores: bool,
-        visited: Dict[Tuple[str, Hashable], int],
-        seeded_states: FrozenSet[str],
-        stats: SearchStatistics,
-    ) -> Optional[_SearchNode]:
-        """Legacy path (caches disabled): materialize and evaluate raw guards."""
-        for candidate in self._theory.successor_configurations(system, node.config, transition):
-            stats.candidates_generated += 1
-            database = self._theory.database(candidate)
-            stats.guard_evaluations += 1
-            if not guard_holds(
-                database,
-                system.registers,
-                transition.guard,
-                node.config.valuation,
-                candidate.valuation,
-            ):
-                stats.guard_rejections += 1
-                continue
-            goal = self._admit_candidate(
-                system,
-                node,
-                transition,
-                None,
-                candidate,
-                database,
-                frontier,
-                needs_scores,
-                visited,
-                seeded_states,
-                stats,
-            )
-            if goal is not None:
-                return goal
-        return None
-
     def _admit_candidate(
         self,
         system: DatabaseDrivenSystem,
         node: _SearchNode,
         transition: Transition,
-        delta: Optional[CandidateDelta],
+        delta: CandidateDelta,
         candidate: Optional[TheoryConfiguration],
         database: Optional[Structure],
         frontier,
@@ -538,12 +488,13 @@ class EmptinessSolver:
         seeded_states: FrozenSet[str],
         stats: SearchStatistics,
     ) -> Optional[_SearchNode]:
-        """Shared post-guard tail: landing rule, key, dedup, build, enqueue, push.
+        """Post-guard tail: landing rule, key, dedup, build, enqueue, push.
 
-        The candidate comes built (``candidate``), or as a ``delta`` of
-        ``node``'s configuration, which the theory keys before anything is
-        built (:meth:`~repro.fraisse.base.DatabaseTheory.delta_key`); it is
-        built only when its key is new.  Returns the goal node when
+        The candidate comes built (``candidate``, when its guard was
+        evaluated on the full database) or as a ``delta`` of ``node``'s
+        configuration, which the theory keys before anything is built
+        (:meth:`~repro.fraisse.base.DatabaseTheory.delta_key`); it is built
+        only when its key is new.  Returns the goal node when
         ``transition`` reaches an accepting state, None otherwise.
         ``database`` is the already-materialized successor database if the
         caller built one for guard evaluation; otherwise the witness size
@@ -606,9 +557,7 @@ class EmptinessSolver:
         return _SearchNode(state, config, parent=None, transition=None, depth=0), key
 
     @staticmethod
-    def _snapshot_plan_statistics(plan_set: Optional[PlanSet], stats: SearchStatistics) -> None:
-        if plan_set is None:
-            return
+    def _snapshot_plan_statistics(plan_set: PlanSet, stats: SearchStatistics) -> None:
         for plan in plan_set:
             plan_stats = plan.stats
             stats.plan_rejected_pre_materialization += plan_stats.rejected_pre_materialization

@@ -36,16 +36,15 @@ materialized and canonicalized.  A candidate whose compiled guard evaluates
 to ``False`` is rejected pre-materialization; ``True`` skips the engine's
 authoritative evaluation entirely; :data:`~repro.logic.threevalued.UNKNOWN`
 (guards mentioning symbols the delta view cannot decide, e.g. data-value
-relations) falls back to the legacy materialize-and-evaluate path, so the
-conservative semantics of the pre-filters is preserved exactly.
+relations) makes the engine build the candidate and evaluate the guard on
+its full database, so the conservative semantics of the reference
+enumerations' pre-filters is preserved exactly.
 
 Compiled guards are memoised on the theory instance
 (``engine_transition_plans`` in :mod:`repro.perf`) keyed by the guard
 formula, like every other engine cache: a batch job rebuilds its theory
 from its spec, so a long-lived :class:`~repro.service.runner.BatchRunner`
-worker holds no compiled guard of a finished job.  With
-:func:`repro.perf.caches_disabled` the engine never consults plans at all
-and runs the legacy recompute-everything path.
+worker holds no compiled guard of a finished job.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from repro.logic.formulas import (
 from repro.logic.schema import Schema
 from repro.logic.terms import FuncTerm, Term, Var
 from repro.logic.threevalued import UNKNOWN, compile_three_valued, unknown_node
-from repro.perf import BoundedCache, caches_enabled
+from repro.perf import BoundedCache
 from repro.systems.dds import NEW_SUFFIX, OLD_SUFFIX, Transition
 from repro.telemetry import note_plan_compilation
 
@@ -216,7 +215,7 @@ def _reorder_by_selectivity(formula: Formula) -> Formula:
 
     Only applied to fully compilable guards, where evaluation is two-valued
     and therefore order-independent; three-valued guards keep the source
-    order so the UNKNOWN short-circuit behaviour matches the legacy
+    order so the UNKNOWN short-circuit behaviour matches the reference
     pre-filters exactly.
     """
     if isinstance(formula, And):
@@ -328,7 +327,7 @@ def compile_guard(
     compiled once in source order, and only when every atom compiled (so
     evaluation is two-valued and order-independent) is it recompiled
     selectivity-ordered.  Guards with undecidable atoms keep source order,
-    preserving the legacy UNKNOWN short-circuit semantics.
+    preserving the reference pre-filters' UNKNOWN short-circuit semantics.
     """
     compiler = _AtomCompiler(schema, function_symbols)
     evaluator = compile_three_valued(guard, compiler)
@@ -357,8 +356,6 @@ def compiled_guard_for(theory, guard: Formula) -> Optional[CompiledGuard]:
     if schema is None:
         return None
     function_symbols = theory.plan_function_symbols()
-    if not caches_enabled():
-        return compile_guard(guard, schema, function_symbols)
     cache = getattr(theory, "_compiled_guards", None)
     if cache is None:
         cache = BoundedCache("engine_transition_plans", cap=1 << 10)
@@ -393,9 +390,10 @@ class PlanStatistics:
         self.fallback_evaluations = 0
         #: Enumeration branches the theory evaluated and pruned internally
         #: (register assignments or tuple-subset choices whose guard can
-        #: never hold); the legacy pre-filters prune the same branches, so
-        #: these never surface as candidates on either path.  Tuple subsets
-        #: a forced literal excludes are never generated, so never counted.
+        #: never hold); the reference enumeration's pre-filters prune the
+        #: same branches, so these never surface as candidates.  Tuple
+        #: subsets a forced literal excludes are never generated, so never
+        #: counted.
         self.enumeration_pruned = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -473,10 +471,7 @@ def prime_plans(system, theory) -> int:
 
     Used by batch-service workers before running a job, so the engine's own
     plan compilation for the job hits the memo and the timed run excludes
-    compilation.  Returns the number of plans whose guard compiled.  A no-op
-    (returning 0) when caches are disabled.
+    compilation.  Returns the number of plans whose guard compiled.
     """
-    if not caches_enabled():
-        return 0
     plan_set = compile_plans(system, theory)
     return sum(1 for plan in plan_set if plan.compiled is not None)

@@ -42,7 +42,6 @@ from typing import (
 
 from repro.errors import StructureError
 from repro.logic.schema import Schema
-from repro.perf import caches_enabled
 
 Element = Any
 TupleOfElements = Tuple[Element, ...]
@@ -368,12 +367,11 @@ class Structure:
         if not self._functions:
             return frozenset(closed)
         generators = frozenset(closed)
-        if caches_enabled():
-            if self._closure_cache is None:
-                self._closure_cache = {}
-            cached = self._closure_cache.get(generators)
-            if cached is not None:
-                return cached
+        if self._closure_cache is None:
+            self._closure_cache = {}
+        cached = self._closure_cache.get(generators)
+        if cached is not None:
+            return cached
         changed = True
         while changed:
             changed = False
@@ -385,8 +383,7 @@ class Structure:
                         closed.add(value)
                         changed = True
         result = frozenset(closed)
-        if caches_enabled() and self._closure_cache is not None:
-            self._closure_cache[generators] = result
+        self._closure_cache[generators] = result
         return result
 
     def restrict(self, subset: Iterable[Element]) -> "Structure":
@@ -554,34 +551,10 @@ class Structure:
             )
         return self._canonical_key
 
-    def has_tuple_index(self) -> bool:
-        """Whether the element-to-tuples index has already been built.
-
-        Callers that would use the index exactly once (throwaway structures)
-        should check this and fall back to a plain scan: building the index
-        costs more than one scan and only pays off when the structure is
-        queried repeatedly.
-        """
-        return self._touching is not None
-
-    def ensure_tuple_index(self) -> "Structure":
-        """Build the element-to-tuples index now (returns self for chaining).
-
-        Called by owners that know the structure will serve many
-        canonical-key queries (e.g. a cached run-database view).
-        """
-        if self._touching is None:
-            self.tuples_touching(_INDEX_PRIME)
-        return self
-
     def tuples_touching(self, element: Element) -> Tuple[Tuple[str, TupleOfElements], ...]:
         """All ``(relation, tuple)`` facts mentioning ``element``.
 
-        Backed by a lazily-built per-structure index (see
-        :meth:`has_tuple_index`), so repeated canonical-key construction
-        over small generated substructures of one database does not rescan
-        every tuple per call (the pre-refactor hot spot for cached word-run
-        views).
+        Backed by a per-structure index built on the first call.
         """
         if self._touching is None:
             index: Dict[Element, List[Tuple[str, TupleOfElements]]] = {}
@@ -611,10 +584,6 @@ class Structure:
             )
             lines.append(f"{name}(): {entries}")
         return "\n".join(lines)
-
-
-#: Sentinel element used by ensure_tuple_index to force the index build.
-_INDEX_PRIME = object()
 
 
 def sorted_key_list(elements: Iterable[Element]) -> list:

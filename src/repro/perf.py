@@ -1,25 +1,20 @@
-"""Engine-wide performance switches and cache instrumentation.
+"""Cache instrumentation for the engine's memo tables.
 
-The fast-path engine core introduced with the canonicalisation layer keeps a
-number of memo tables (the word, tree and data-value theories' abstraction
-keys, compiled guards, skeleton placement tables).
-All of them are *behaviour-preserving*: with caching disabled the solvers
-recompute every canonical form from scratch, exactly like the pre-refactor
-engine.  The global switch exists so the benchmark runner can measure the
-legacy path against the cached path on the same build, and so debugging
-sessions can rule caches out with one call.
+The engine keeps three memo tables, each scoped to one theory instance, so
+to one job: compiled guards (``engine_transition_plans``), the tree theory's
+node placements per skeleton (``trees_placements``) and the data-value
+product's rendered databases (``datavalues_database``).  Every one is
+*behaviour-preserving*: it returns exactly what the computation it fronts
+would return, so it changes speed, never a verdict.
 
 Every cache registers a :class:`CacheStats` under a stable name; the
-benchmark runner and the search statistics snapshot them via
-:func:`cache_stats_snapshot`.
+benchmark runner, ``repro info`` and the ``repro_engine_cache_*`` metric
+families snapshot them via :func:`cache_stats_snapshot`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator
-
-_caches_enabled: bool = True
+from typing import Dict
 
 #: Default upper bound on entries held by any single engine cache.  The
 #: abstract configuration spaces explored by the solvers are finite, but a
@@ -85,32 +80,6 @@ def reset_cache_stats() -> None:
         stats.reset()
 
 
-def caches_enabled() -> bool:
-    """Whether the engine's canonical-form caches are active."""
-    return _caches_enabled
-
-
-def set_caches_enabled(enabled: bool) -> None:
-    global _caches_enabled
-    _caches_enabled = bool(enabled)
-
-
-@contextmanager
-def caches_disabled() -> Iterator[None]:
-    """Run a block on the legacy (cache-free) engine path.
-
-    Used by ``benchmarks/run_all.py`` to measure the pre-refactor engine on
-    the same build, and handy when bisecting a suspected cache bug.
-    """
-    global _caches_enabled
-    previous = _caches_enabled
-    _caches_enabled = False
-    try:
-        yield
-    finally:
-        _caches_enabled = previous
-
-
 class BoundedCache:
     """A dict-backed memo table with hit/miss stats and a size cap.
 
@@ -146,13 +115,9 @@ class BoundedCache:
     def get_or_compute(self, key, factory):
         """Memoised ``factory()``: the one-stop caching idiom of the engine.
 
-        Bypasses the table entirely (recompute every time) when the global
-        cache switch is off, so call sites gate on :func:`caches_enabled`
-        for free.  Values must not be None (None marks a miss); False and
-        empty containers cache fine.
+        Values must not be None (None marks a miss); False and empty
+        containers cache fine.
         """
-        if not caches_enabled():
-            return factory()
         value = self.get(key)
         if value is None:
             value = factory()

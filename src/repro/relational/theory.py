@@ -26,11 +26,14 @@ that involve a discarded element -- true for all finite databases and for
 HOM classes -- and keeps the per-step work bounded by a function of the
 number of registers only, exactly as Theorem 5 requires.
 
-Fast path
----------
-The relational family implements the engine's *incremental candidate*
-protocol natively (:meth:`RelationalTheory.enumerate_deltas`): transition
-guards are compiled once per ``(theory, transition)`` pair into
+Reference and delta stream
+--------------------------
+:meth:`RelationalTheory.successor_configurations` is the reference
+enumeration: it builds a structure per candidate, and per choice of
+guard-relevant tuples a small structure on which it walks the guard.  The
+engine drives the *incremental candidate* protocol instead, which the
+relational family implements natively (:meth:`RelationalTheory.enumerate_deltas`):
+transition guards are compiled once per ``(theory, transition)`` pair into
 selectivity-ordered closures (:mod:`repro.fraisse.plans`) and evaluated
 against candidate *deltas* -- the register-valuation change plus the new
 tuples -- before any successor :class:`Structure` exists.  The evaluation
@@ -41,7 +44,8 @@ happens at three stages of the factored enumeration:
   evaluate to UNKNOWN; if the guard is already ``False`` (a violated
   equality, a missing tuple among existing elements), the entire
   decoration-and-subset enumeration under this assignment is skipped --
-  exactly the branches whose every candidate the legacy pre-filter rejects;
+  exactly the branches whose every candidate the reference pre-filter
+  rejects;
 * **subset stage** -- with a decoration and the guard-relevant tuples
   chosen, every compilable atom is decided by set lookups, and the
   guard-irrelevant subset enumeration below runs only for surviving
@@ -67,9 +71,9 @@ discard:
 Guards that cannot be compiled (symbols outside the witness schema such as
 data-value relations, non-variable terms, quantifiers) evaluate to UNKNOWN
 and are kept conservatively; the engine's authoritative evaluation on the
-full database is unchanged either way.  With caches disabled
-(:mod:`repro.perf`) the legacy build-a-structure path runs instead, which
-is what the benchmark runner measures as the pre-refactor engine.
+full database is unchanged either way.  Applying the deltas gives exactly the
+reference stream, in the same order; the tests check this candidate for
+candidate.
 """
 
 from __future__ import annotations
@@ -104,7 +108,6 @@ from repro.logic.schema import Schema
 from repro.logic.structures import Element, Structure, sorted_key_list
 from repro.logic.terms import Term, Var
 from repro.logic.threevalued import UNKNOWN
-from repro.perf import caches_enabled
 from repro.systems.dds import DatabaseDrivenSystem, Transition, new, old
 
 Decoration = Tuple[Tuple[str, Tuple[Element, ...]], ...]
@@ -255,14 +258,6 @@ class RelationalTheory(DatabaseTheory):
         config: TheoryConfiguration,
         transition: Transition,
     ) -> Iterator[TheoryConfiguration]:
-        if caches_enabled():
-            # Fast path: the incremental enumeration below, materialized for
-            # callers that want configurations (the engine itself drives
-            # enumerate_deltas directly and materializes only survivors).
-            plan = self._transition_plan(transition)
-            for delta in self.enumerate_deltas(system, config, transition, plan):
-                yield self.apply_delta(config, delta)
-            return
         registers = list(system.registers)
         witness: Structure = config.witness
         valuation_old = config.valuation
@@ -301,13 +296,13 @@ class RelationalTheory(DatabaseTheory):
     ) -> Iterator[CandidateDelta]:
         """Enumerate successor deltas with staged compiled-guard pruning.
 
-        Yields the same candidate stream (same order) as the legacy
-        enumeration's surviving candidates: register shuffles carry a
-        pre-decided guard status, witness extensions are pruned at the
-        assignment stage (before decorations and tuple subsets are even
-        enumerated) whenever no choice of new tuples can satisfy the guard,
-        and at the subset stage exactly where the legacy structure-based
-        pre-filter pruned.
+        Applying the deltas gives the reference stream of
+        :meth:`successor_configurations`, in the same order: register
+        shuffles carry a pre-decided guard status, witness extensions are
+        pruned at the assignment stage (before decorations and tuple subsets
+        are even enumerated) whenever no choice of new tuples can satisfy the
+        guard, and at the subset stage exactly where the reference
+        structure-based pre-filter prunes.
         """
         if plan is None or plan.compiled is None:
             yield from super().enumerate_deltas(system, config, transition, plan)
@@ -378,7 +373,7 @@ class RelationalTheory(DatabaseTheory):
             if evaluator(context) is False:
                 # Decided atoms are choice-independent, so a False here means
                 # no decoration/subset choice can satisfy the guard -- the
-                # legacy pre-filter rejects every candidate of this branch.
+                # reference pre-filter rejects every candidate of this branch.
                 stats.enumeration_pruned += 1
                 continue
             yield from self._extension_deltas(
@@ -415,7 +410,7 @@ class RelationalTheory(DatabaseTheory):
     ) -> Iterator[CandidateDelta]:
         """Deltas extending the witness by ``fresh_elements`` (factored form).
 
-        Yields exactly the surviving candidates of the legacy
+        Yields exactly the surviving candidates of the reference
         :meth:`_extended_witnesses` enumeration, in the same order
         (decorations x guard-relevant subsets x guard-irrelevant subsets),
         but evaluates the compiled guard on the delta facts instead of
@@ -444,7 +439,7 @@ class RelationalTheory(DatabaseTheory):
             compiled.atom_templates, valuation_old, valuation_new, free_names
         )
         # Tuples connecting a fresh element with an old-only element: only the
-        # ones the current guard mentions can matter (as in the legacy path).
+        # ones the current guard mentions can matter (as in the reference).
         mixed_tuples = [
             (relation, t)
             for relation, t in guard_tuples
@@ -598,12 +593,11 @@ class RelationalTheory(DatabaseTheory):
         valuation_new: Dict[str, Element],
         fresh_elements: List[Element],
     ) -> Iterator[TheoryConfiguration]:
-        """The legacy (cache-free) extension enumeration: build per-candidate
-        small structures for the pre-filter and full structures per yield.
+        """The reference extension enumeration: build per-candidate small
+        structures for the pre-filter and full structures per yield.
 
-        The fast path is :meth:`_extension_deltas`; this body is kept as the
-        pre-refactor behaviour the benchmark runner measures under
-        :func:`repro.perf.caches_disabled`.
+        The engine's delta stream is :meth:`_extension_deltas`, which must
+        yield the same candidates in the same order.
         """
         schema = self.witness_schema()
         new_values = sorted_key_list(set(valuation_new.values()))
@@ -708,7 +702,7 @@ class RelationalTheory(DatabaseTheory):
         guard: Formula,
         combined: Dict[str, Element],
     ) -> bool:
-        """The legacy (cache-free) pre-filter: build the delta, walk the guard.
+        """The reference pre-filter: build the delta, walk the guard.
 
         Guards mentioning symbols outside the witness schema (e.g. the data
         value relations of :mod:`repro.datavalues`) cannot be decided here;
@@ -846,8 +840,8 @@ def _instantiate_templates(
 ) -> List[Tuple[str, Tuple[Element, ...]]]:
     """Resolve a plan's guard-atom templates into distinct concrete tuples.
 
-    The compiled-plan replacement of the legacy per-assignment formula walk
-    (:meth:`RelationalTheory._guard_instantiated_tuples`): the plan extracted
+    The compiled-plan counterpart of the reference per-assignment formula
+    walk (:meth:`RelationalTheory._guard_instantiated_tuples`): the plan extracted
     the register slots once at compilation, so per assignment this is a few
     dictionary lookups per guard atom.  Both keep the first occurrence of a
     tuple that several atoms name (the same atom written twice, or atoms

@@ -45,7 +45,7 @@ from repro.fraisse.plans import DeltaContext
 from repro.logic.schema import Schema
 from repro.logic.structures import Element, Structure
 from repro.logic.threevalued import UNKNOWN
-from repro.perf import BoundedCache, caches_enabled
+from repro.perf import BoundedCache
 from repro.systems.dds import DatabaseDrivenSystem, Transition
 from repro.trees.automata import AutomatonAnalysis, TreeAutomaton
 from repro.trees.tree import Tree
@@ -74,9 +74,9 @@ class Skeleton:
     """(node id, ordered skeleton children) -- order is document order."""
 
     def __hash__(self) -> int:
-        # Skeletons key several hot memo tables; the generated dataclass
-        # hash walks all three field tuples on every lookup, so cache it
-        # (skeletons are immutable).
+        # Skeletons key the placement memo and the placement walk's seen
+        # sets; the generated dataclass hash walks all three field tuples on
+        # every lookup, so cache it (skeletons are immutable).
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((self.states, self.parents, self.children))
@@ -245,14 +245,10 @@ class TreeRunTheory(DatabaseTheory):
         self._key_schema = self._schema.extend(relations=key_relations)
         self._anchor_cache: Dict[Tuple[str, Tuple[str, ...]], Optional[List[str]]] = {}
         self._up_cache: Dict[str, Set[str]] = {}
-        # Canonical-form caches (see repro.perf): node placement only depends
-        # on the (immutable) skeleton and the number of fresh nodes, yet the
-        # successor enumeration used to recompute it for every register-target
-        # combination; completability and abstraction keys are likewise pure
-        # functions of the skeleton (and valuation).
+        # Node placement only depends on the (immutable) skeleton and the
+        # number of fresh nodes, yet the successor enumeration asks for it
+        # once per register-target combination (see repro.perf).
         self._placement_cache = BoundedCache("trees_placements", cap=1 << 12)
-        self._completable_cache = BoundedCache("trees_completable")
-        self._key_cache = BoundedCache("trees_abstraction_key")
 
     # -- accessors -----------------------------------------------------------------------
 
@@ -302,12 +298,11 @@ class TreeRunTheory(DatabaseTheory):
         return self._up_cache[state]
 
     def skeleton_completable(self, skeleton: Skeleton) -> bool:
-        """The vertical + horizontal conditions at every skeleton node."""
-        return self._completable_cache.get_or_compute(
-            skeleton, lambda: self._skeleton_completable_uncached(skeleton)
-        )
+        """The vertical + horizontal conditions at every skeleton node.
 
-    def _skeleton_completable_uncached(self, skeleton: Skeleton) -> bool:
+        The whole-skeleton check that :meth:`_single_placements`' local
+        check stands in for; the tests compare the two.
+        """
         for node in skeleton.children_of:
             if not self._node_completable(skeleton, node):
                 return False
@@ -318,8 +313,8 @@ class TreeRunTheory(DatabaseTheory):
 
         Every placement move touches at most two nodes (the fresh node and
         the node whose child list changed), so candidates grown from a
-        completable skeleton only need this local check at the touched nodes
-        -- the fast path of :meth:`_single_placements`.
+        completable skeleton only need this local check at the touched nodes,
+        which is all :meth:`_single_placements` checks.
         """
         analysis = self._analysis
         state_of = skeleton.state_of
@@ -381,11 +376,11 @@ class TreeRunTheory(DatabaseTheory):
         config: TheoryConfiguration,
         transition: Transition,
     ) -> Iterator[TheoryConfiguration]:
-        if caches_enabled():
-            plan = self._transition_plan(transition)
-            for delta in self.enumerate_deltas(system, config, transition, plan):
-                yield self.apply_delta(config, delta)
-            return
+        """The reference enumeration: guards walked over a skeleton view.
+
+        :meth:`enumerate_deltas` yields the same candidates in the same
+        order, deciding guards through the compiled plan instead.
+        """
         registers = list(system.registers)
         skeleton: Skeleton = config.witness
         existing = list(skeleton.node_ids)
@@ -442,8 +437,8 @@ class TreeRunTheory(DatabaseTheory):
         Skeleton relations (ancestry, document order, labels, ``cca``) are
         decided exactly on the extended skeleton, so for pure tree guards the
         engine never renders the skeleton into a database at all: candidates
-        whose guard fails are dropped here (exactly where the legacy
-        pre-filter dropped them), and surviving candidates carry
+        whose guard fails are dropped here (exactly where the reference
+        pre-filter drops them), and surviving candidates carry
         ``guard_status=True`` so the engine skips the authoritative
         evaluation.  Atoms outside TreeSchema (data-value relations) keep the
         conservative UNKNOWN fallback.
@@ -539,13 +534,12 @@ class TreeRunTheory(DatabaseTheory):
         valuation_old: Dict[str, Element],
         valuation_new: Dict[str, Element],
     ) -> bool:
-        """The legacy guard pre-filter: walk the formula over a skeleton view.
+        """The reference guard pre-filter: walk the formula over a skeleton view.
 
         Guards mentioning symbols outside TreeSchema (e.g. data-value
         relations) cannot be decided here; such candidates are kept and the
-        engine performs the authoritative evaluation.  The fast path decides
-        guards through the compiled plan evaluator in
-        :meth:`enumerate_deltas` instead.
+        caller performs the authoritative evaluation.  :meth:`enumerate_deltas`
+        decides guards through the compiled plan evaluator instead.
         """
         from repro.errors import FormulaError
         from repro.systems.dds import new, old
@@ -568,11 +562,8 @@ class TreeRunTheory(DatabaseTheory):
         register assignment that asked for them -- so the successor
         enumeration memoises the materialised list per ``(skeleton, count)``
         instead of re-walking the placement tree for every register-target
-        combination (the pre-refactor tree hot spot).
+        combination.
         """
-        if not caches_enabled():
-            yield from self._place_nodes_uncached(skeleton, count)
-            return
         # Only top-level results are cached: interior skeletons of the
         # placement recursion are mostly unique, and caching them would
         # pollute (and repeatedly overflow) the table for no hits.
@@ -597,22 +588,19 @@ class TreeRunTheory(DatabaseTheory):
         """All ways to add one node (possibly with one helper cca node).
 
         ``skeleton`` is always completable here (seeds start from single
-        nodes and every intermediate candidate is filtered), so on the fast
-        path completability of a candidate reduces to the local conditions
-        at the nodes the move touched; the legacy path re-checks the whole
-        skeleton, as the seed engine did.
+        nodes and every intermediate candidate is filtered), so completability
+        of a candidate reduces to the local conditions at the nodes the move
+        touched (:meth:`_node_completable`); :meth:`skeleton_completable` is
+        the whole-skeleton check it stands in for.
         """
         analysis = self._analysis
         states = sorted(analysis.trimmed_states)
         state_of = skeleton.state_of
         new_id = skeleton.next_id()
         seen: Set[Skeleton] = set()
-        local_check = caches_enabled()
 
         def admissible(candidate: Skeleton, affected: Tuple[int, ...]) -> bool:
-            if local_check:
-                return all(self._node_completable(candidate, node) for node in affected)
-            return self.skeleton_completable(candidate)
+            return all(self._node_completable(candidate, node) for node in affected)
 
         def emit(
             candidate: Skeleton, node: int, affected: Tuple[int, ...]
@@ -696,14 +684,6 @@ class TreeRunTheory(DatabaseTheory):
 
     def abstraction_key(self, config: TheoryConfiguration) -> Hashable:
         skeleton: Skeleton = config.witness
-        return self._key_cache.get_or_compute(
-            (skeleton, config.valuation_items),
-            lambda: self._abstraction_key_uncached(skeleton, config),
-        )
-
-    def _abstraction_key_uncached(
-        self, skeleton: Skeleton, config: TheoryConfiguration
-    ) -> Hashable:
         generated = self._cca_closure(skeleton, set(config.valuation.values()))
         restricted = self._restrict(skeleton, generated)
         view = self._skeleton_structure(restricted, self._key_schema, with_states=True)

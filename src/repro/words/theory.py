@@ -36,7 +36,6 @@ from repro.fraisse.base import (
 )
 from repro.logic.schema import Schema
 from repro.logic.structures import Element, Structure
-from repro.perf import BoundedCache, caches_enabled
 from repro.systems.dds import DatabaseDrivenSystem, Transition
 from repro.words.nfa import NFA, PositionAutomaton
 from repro.words.rundb import run_schema, rundb
@@ -75,13 +74,7 @@ class WordRunTheory(DatabaseTheory):
         self._automaton = PositionAutomaton.from_nfa(nfa, trim=True)
         self._schema = word_schema(self._automaton.alphabet)
         self._max_fresh_per_step = max_fresh_per_step
-        # Canonical-form caches (see repro.perf): the pointer-enriched run
-        # database of a fragment is a pure function of the fragment, and the
-        # abstraction key additionally of the register valuation; both are
-        # recomputed per candidate on the legacy path.
         self._run_schema = run_schema(self._automaton)
-        self._rundb_cache = BoundedCache("words_rundb")
-        self._key_cache = BoundedCache("words_abstraction_key")
 
     # -- accessors ---------------------------------------------------------------
 
@@ -246,19 +239,8 @@ class WordRunTheory(DatabaseTheory):
 
     def abstraction_key(self, config: TheoryConfiguration) -> Hashable:
         fragment: _WordFragment = config.witness
-        if not caches_enabled():
-            run_view = rundb(self._automaton, fragment.positions)
-            return generic_abstraction_key(run_view, config.valuation)
-        run_view = self._rundb_cache.get_or_compute(
-            fragment,
-            lambda: rundb(
-                self._automaton, fragment.positions, schema=self._run_schema
-            ).ensure_tuple_index(),
-        )
-        return self._key_cache.get_or_compute(
-            (fragment, config.valuation_items),
-            lambda: generic_abstraction_key(run_view, config.valuation),
-        )
+        run_view = rundb(self._automaton, fragment.positions, schema=self._run_schema)
+        return generic_abstraction_key(run_view, config.valuation)
 
     def certify(
         self, config: TheoryConfiguration

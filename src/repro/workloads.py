@@ -318,8 +318,8 @@ def stress_workloads(seed: int = 2026) -> Dict[str, Dict[str, object]]:
     """Fixed representative instances of the adversarial families.
 
     Used by the benchmark runner's ``stress`` phase: one deterministic
-    instance per family, with builders so fast/legacy comparisons construct
-    fresh theories per timing round.
+    instance per family, with builders so every timing round constructs a
+    fresh theory.
     """
     rng_hom = random.Random(seed)
     rng_tree = random.Random(seed + 1)

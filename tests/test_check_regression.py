@@ -14,14 +14,14 @@ _spec.loader.exec_module(check_regression)
 
 def _record(
     path,
-    speedup=10.0,
+    normalized=1.5,
     workload="bench_e2",
     engine=...,
     certify_overhead=2.0,
     certify=...,
 ):
     if engine is ...:
-        engine = {workload: {"speedup": speedup}}
+        engine = {workload: {"normalized": normalized}}
     if certify is ...:
         certify = {
             "certificate_overhead_percent": certify_overhead,
@@ -34,8 +34,8 @@ def _record(
 
 @pytest.fixture()
 def records(tmp_path):
-    baseline = _record(tmp_path / "baseline.json", speedup=10.0)
-    current = _record(tmp_path / "current.json", speedup=9.0)
+    baseline = _record(tmp_path / "baseline.json", normalized=1.5)
+    current = _record(tmp_path / "current.json", normalized=1.7)
     return baseline, current
 
 
@@ -44,34 +44,36 @@ class TestVerdicts:
         baseline, current = records
         assert check_regression.check(baseline, current) == 0
 
-    def test_fails_on_regression(self, tmp_path):
-        baseline = _record(tmp_path / "b.json", speedup=40.0)
-        current = _record(tmp_path / "c.json", speedup=1.2)
+    def test_fails_on_regression(self, tmp_path, capsys):
+        # Every compiled guard forced to UNKNOWN: bench_e2 went from ~1 to 32.
+        baseline = _record(tmp_path / "b.json", normalized=1.02)
+        current = _record(tmp_path / "c.json", normalized=31.95)
         assert check_regression.check(baseline, current) == 1
+        assert "normalized time" in capsys.readouterr().err
 
-    def test_absolute_floor_applies(self, tmp_path):
-        # Committed speedup so small that tolerance alone would pass ~0x.
-        baseline = _record(tmp_path / "b.json", speedup=2.0)
-        current = _record(tmp_path / "c.json", speedup=1.1)
-        assert check_regression.check(baseline, current) == 1
+    def test_ceiling_is_committed_over_tolerance(self, tmp_path):
+        baseline = _record(tmp_path / "b.json", normalized=1.5)
+        assert check_regression.check(baseline, _record(tmp_path / "c.json", normalized=5.9)) == 0
+        assert check_regression.check(baseline, _record(tmp_path / "d.json", normalized=6.1)) == 1
+        assert check_regression.check(baseline, _record(tmp_path / "e.json", normalized=0.2)) == 0
 
 
 class TestCertifyGate:
     def test_fails_when_certify_overhead_blows_past_limit(self, tmp_path, capsys):
         baseline = _record(tmp_path / "b.json")
-        current = _record(tmp_path / "c.json", speedup=9.0, certify_overhead=60.0)
+        current = _record(tmp_path / "c.json", certify_overhead=60.0)
         assert check_regression.check(baseline, current) == 1
         assert "witness certificates" in capsys.readouterr().err
 
     def test_negative_certify_overhead_passes(self, tmp_path):
         # Timing noise can make the certified run measure faster than plain.
         baseline = _record(tmp_path / "b.json")
-        current = _record(tmp_path / "c.json", speedup=9.0, certify_overhead=-1.5)
+        current = _record(tmp_path / "c.json", certify_overhead=-1.5)
         assert check_regression.check(baseline, current) == 0
 
     def test_missing_certify_section_is_hard_failure(self, tmp_path, capsys):
         baseline = _record(tmp_path / "b.json")
-        current = _record(tmp_path / "c.json", speedup=9.0, certify=None)
+        current = _record(tmp_path / "c.json", certify=None)
         assert check_regression.check(baseline, current) == 2
         err = capsys.readouterr().err
         assert "GUARD FAILURE" in err and "certify" in err
@@ -80,7 +82,6 @@ class TestCertifyGate:
         baseline = _record(tmp_path / "b.json")
         current = _record(
             tmp_path / "c.json",
-            speedup=9.0,
             certify={"certificate_overhead_percent": 1.0, "nonempty": 0},
         )
         assert check_regression.check(baseline, current) == 2
@@ -115,10 +116,17 @@ class TestMissingKeysAreHardFailures:
         assert "GUARD FAILURE" in capsys.readouterr().err
 
     def test_null_speedup(self, tmp_path, capsys):
+        # A record from before normalised timings: a speedup, no normalized time.
         baseline = _record(tmp_path / "b.json", engine={"bench_e2": {"speedup": None}})
         current = _record(tmp_path / "c.json")
         assert check_regression.check(baseline, current) == 2
-        assert "usable speedup" in capsys.readouterr().err
+        assert "usable normalized time" in capsys.readouterr().err
+
+    def test_null_normalized(self, tmp_path, capsys):
+        baseline = _record(tmp_path / "b.json")
+        current = _record(tmp_path / "c.json", engine={"bench_e2": {"normalized": None}})
+        assert check_regression.check(baseline, current) == 2
+        assert "usable normalized time" in capsys.readouterr().err
 
     def test_unreadable_baseline_file(self, tmp_path, capsys):
         current = _record(tmp_path / "c.json")

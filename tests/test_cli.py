@@ -71,7 +71,6 @@ class TestInfo:
         assert main(["info", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["strategies"] == ["bfs", "dfs", "priority"]
-        assert isinstance(payload["caches_enabled"], bool)
         assert "cache_stats" in payload
 
 

@@ -31,7 +31,6 @@ from typing import Any, Dict, List
 
 from repro.certify import decode_certificate, render_certificate
 from repro.fraisse.search import STRATEGY_NAMES
-from repro.perf import caches_disabled
 from repro.relational import GRAPH_SCHEMA, AllDatabasesTheory, HomTheory, clique_template
 from repro.service.jobs import VerificationJob, execute_job
 from repro.systems.dds import DatabaseDrivenSystem
@@ -121,20 +120,6 @@ def test_verdicts_match_golden_record():
         if row != expected
     ]
     assert mismatches == []
-
-
-def test_legacy_path_matches_golden_record_on_seeding_cases():
-    """Seeding is shared by the compiled-plan and the cache-free path."""
-    recorded = {row["fingerprint"]: row for row in json.loads(RECORD.read_text())["rows"]}
-    jobs = [
-        job
-        for job in golden_jobs()
-        if enters_initial_state(job.system)
-        or job.system.accepting_states & job.system.initial_states
-    ]
-    with caches_disabled():
-        rows = [verdict_row(job) for job in jobs]
-    assert [row for row in rows if row != recorded[row["fingerprint"]]] == []
 
 
 def test_golden_record_covers_the_seeding_cases():

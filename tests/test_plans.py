@@ -1,11 +1,18 @@
 """Compiled transition plans and the incremental candidate protocol.
 
 Covers the plan compiler (selectivity ordering, decisiveness, templates),
-the engine's plan-driven fast path against the legacy cache-free path across
-all five shipped theories (verdicts, witness validity, and the
-``duplicate_keys_pruned + rejected`` accounting), the process-wide plan
-cache, and the frontier-size sampling regression fix.
+the per-theory memo of compiled guards, the engine's verdicts and candidate
+accounting across all five shipped theories, the frontier-size sampling
+regression fix, and the stream oracle: on every configuration a bounded
+reference exploration reaches, applying a theory's deltas
+(``enumerate_deltas``) gives exactly its reference enumeration
+(``successor_configurations``), a decided guard status agrees with
+``guard_holds``, and a delta key agrees with ``abstraction_key``.
 """
+
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +28,6 @@ from repro.fraisse.plans import (
 from repro.library import odd_red_cycle_system, triangle_system
 from repro.logic.parser import parse_formula
 from repro.logic.threevalued import UNKNOWN
-from repro.perf import caches_disabled
 from repro.relational import (
     COLORED_GRAPH_SCHEMA,
     GRAPH_SCHEMA,
@@ -32,6 +38,13 @@ from repro.relational import (
 from repro.systems.dds import DatabaseDrivenSystem
 from repro.trees import TreeRunTheory, tree_schema, universal_automaton
 from repro.words import NFA, WordRunTheory, word_schema
+from repro.workloads import generate_jobs
+
+# The golden record's jobs and the reference exploration live in their own
+# test modules; make them importable under every pytest import mode.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_golden_verdicts import golden_jobs  # noqa: E402
+from test_seed_coverage import reference_walk  # noqa: E402
 
 
 # -- guard compilation ------------------------------------------------------------
@@ -95,7 +108,7 @@ def test_selectivity_ordering_rejects_on_equality_before_relation_atom():
 
 def test_three_valued_guard_keeps_source_order():
     # With an undecidable atom the guard must NOT be reordered: UNKNOWN
-    # short-circuiting has to match the legacy FormulaError semantics.
+    # short-circuiting has to match the reference pre-filters' FormulaError semantics.
     from repro.logic.schema import Schema
 
     schema = Schema.relational(E=2)
@@ -121,8 +134,6 @@ def test_prime_plans_counts_compiled_guards():
     system = triangle_system()
     theory = AllDatabasesTheory(GRAPH_SCHEMA)
     assert prime_plans(system, theory) == len(set(system.transitions))
-    with caches_disabled():
-        assert prime_plans(system, theory) == 0
 
 
 def test_compiled_guards_are_memoised_per_theory_instance():
@@ -137,7 +148,7 @@ def test_compiled_guards_are_memoised_per_theory_instance():
     assert all(a.compiled is not b.compiled for a, b in zip(first, rebuilt))
 
 
-# -- fast/legacy equivalence across all five theories ------------------------------
+# -- verdicts and accounting across all five theories ------------------------------
 
 
 def _word_case():
@@ -183,6 +194,21 @@ def _data_case():
     )
 
 
+def _negation_case():
+    # Negated relation atoms on old and new registers: the old-register ones
+    # are decided by the witness, not forced.
+    system = DatabaseDrivenSystem.build(
+        schema=GRAPH_SCHEMA, registers=["x", "y"], states=["p", "q"], initial="p",
+        accepting="q",
+        transitions=[
+            ("p", "!E(x_old, x_new) & E(x_new, y_new) & !E(y_new, y_old)", "p"),
+            ("p", "E(x_old, y_old) & !E(y_old, x_old) & !E(x_old, x_old) & "
+             "x_old = x_new & y_old = y_new", "q"),
+        ],
+    )
+    return system, lambda: AllDatabasesTheory(GRAPH_SCHEMA), True
+
+
 def _equivalence_cases():
     return [
         pytest.param(
@@ -200,6 +226,7 @@ def _equivalence_cases():
         pytest.param(*_word_case(), id="word"),
         pytest.param(*_tree_case(), id="tree"),
         pytest.param(*_data_case(), id="data"),
+        pytest.param(*_negation_case(), id="negations"),
         pytest.param(
             odd_red_cycle_system(),
             lambda: AllDatabasesTheory(COLORED_GRAPH_SCHEMA),
@@ -210,42 +237,26 @@ def _equivalence_cases():
 
 
 @pytest.mark.parametrize("system,theory_builder,expected", _equivalence_cases())
-def test_fast_path_matches_legacy_verdicts_and_accounting(
-    system, theory_builder, expected
-):
-    """Plans on vs caches_disabled(): identical verdicts, witnesses and counts.
+def test_verdicts_and_candidate_accounting(system, theory_builder, expected):
+    """Every counted candidate ends in exactly one place.
 
-    The candidate stream is identical on both paths; only *where* rejected
-    candidates die differs (compiled pre-materialization rejection vs the
-    engine's full-database evaluation), so the duplicate-plus-rejected
-    accounting must balance exactly.
+    A candidate is rejected by its compiled guard before it is built, rejected
+    by the authoritative evaluation, pruned as a duplicate key (or a landing
+    on an initial state), or enqueued.
     """
-    fast = EmptinessSolver(theory_builder()).check(system)
-    with caches_disabled():
-        legacy = EmptinessSolver(theory_builder()).check(system)
-
-    assert fast.nonempty == legacy.nonempty == expected
-    assert fast.exhausted and legacy.exhausted
+    result = EmptinessSolver(theory_builder()).check(system)
+    assert result.nonempty == expected
+    assert result.exhausted
     if expected:
         # verify_witnesses=True already replayed the run; assert artefacts.
-        assert fast.run is not None and fast.run.database is not None
-        assert legacy.run is not None and legacy.run.database is not None
-
-    fs, ls = fast.statistics, legacy.statistics
-    assert fs.candidates_generated == ls.candidates_generated
-    assert fs.configurations_enqueued == ls.configurations_enqueued
-    assert fs.configurations_explored == ls.configurations_explored
-    assert fs.duplicate_keys_pruned == ls.duplicate_keys_pruned
-    # Every candidate is enqueued, a duplicate, or rejected -- and rejected
-    # candidates split between the plan (pre-materialization) and the
-    # engine's authoritative evaluation on the fast path.
-    fast_rejected = fs.plan_rejected_pre_materialization + fs.guard_rejections
-    assert fs.duplicate_keys_pruned + fast_rejected == (
-        ls.duplicate_keys_pruned + ls.guard_rejections
+        assert result.run is not None and result.run.database is not None
+    stats = result.statistics
+    assert stats.candidates_generated == (
+        stats.plan_rejected_pre_materialization
+        + stats.guard_rejections
+        + stats.duplicate_keys_pruned
+        + stats.configurations_enqueued
     )
-    # The legacy path never consults plans.
-    assert ls.plan_rejected_pre_materialization == 0
-    assert ls.plan_compiled_guard_hits == 0
 
 
 def test_plan_statistics_surface_in_search_statistics():
@@ -278,24 +289,6 @@ def test_unknown_guard_atoms_fall_back_to_authoritative_evaluation():
     # Data-value atoms cannot be decided on the delta, so the engine must
     # have evaluated at least some guards on the materialized database.
     assert result.statistics.guard_evaluations > 0
-
-
-def test_successor_configurations_identical_fast_vs_legacy():
-    """Direct enumeration callers see the same stream on both paths."""
-    system = triangle_system()
-    theory_fast = HomTheory(clique_template(2))
-    theory_legacy = HomTheory(clique_template(2))
-    transition = system.transitions[0]
-    configs = list(theory_fast.initial_configurations(system))[:5]
-    for config in configs:
-        fast = list(
-            theory_fast.successor_configurations(system, config, transition)
-        )
-        with caches_disabled():
-            legacy = list(
-                theory_legacy.successor_configurations(system, config, transition)
-            )
-        assert fast == legacy
 
 
 # -- frontier sampling regression (max_frontier_size) ------------------------------
@@ -337,28 +330,14 @@ def test_max_frontier_size_counts_final_enqueues():
     assert stats.max_frontier_size == stats.configurations_enqueued - 2 > 0
 
 
-def test_max_frontier_size_consistent_between_paths():
-    system = triangle_system()
-    fast = EmptinessSolver(AllDatabasesTheory(GRAPH_SCHEMA)).check(system)
-    with caches_disabled():
-        legacy = EmptinessSolver(AllDatabasesTheory(GRAPH_SCHEMA)).check(system)
-    assert fast.statistics.max_frontier_size == legacy.statistics.max_frontier_size
-
-
 # -- plan-driven engine on strategies ---------------------------------------------
 
 
 @pytest.mark.parametrize("strategy", ["bfs", "dfs", "priority"])
 def test_plan_fast_path_strategy_agreement(strategy):
     system = triangle_system()
-    fast = EmptinessSolver(HomTheory(clique_template(2)), strategy=strategy).check(
-        system
-    )
-    with caches_disabled():
-        legacy = EmptinessSolver(
-            HomTheory(clique_template(2)), strategy=strategy
-        ).check(system)
-    assert fast.nonempty == legacy.nonempty is False
+    result = EmptinessSolver(HomTheory(clique_template(2)), strategy=strategy).check(system)
+    assert result.nonempty is False
 
 
 def test_plan_set_handles_foreign_transition():
@@ -371,3 +350,77 @@ def test_plan_set_handles_foreign_transition():
     foreign = other.transitions[0]
     plan = plans.plan_for(foreign)
     assert plan.transition is foreign
+
+
+# -- the stream oracle: delta streams against the reference enumerations ----------
+
+#: Configurations the stream oracle explores per golden case; ``tree_wide``
+#: systems enumerate thousands of candidates per configuration.
+GOLDEN_EXPLORATION_LIMIT = 20
+TREE_WIDE_EXPLORATION_LIMIT = 2
+
+
+def _check_streams(system, theory, limit) -> int:
+    """Check the delta stream of every step of :func:`reference_walk`.
+
+    On each explored configuration and transition out of it, applying the
+    deltas of the engine's plan gives the reference candidates in order; a
+    delta whose compiled guard decided True (False) has a guard that holds
+    (fails) on the built candidate's database; and a candidate whose guard
+    holds has the delta key the reference keys it with.  Returns the number
+    of candidates checked.
+    """
+    plans = compile_plans(system, theory)
+    checked = 0
+    for config, transition, successors in reference_walk(system, theory, limit):
+        deltas = list(
+            theory.enumerate_deltas(system, config, transition, plans.plan_for(transition))
+        )
+        built = [theory.apply_delta(config, delta) for delta in deltas]
+        assert built == [candidate for candidate, _ in successors], transition
+        for delta, (_, key) in zip(deltas, successors):
+            if delta.guard_status is True or delta.guard_status is False:
+                assert delta.guard_status is (key is not None), transition
+            if key is not None:
+                assert theory.delta_key(config, delta)[0] == key, transition
+        checked += len(built)
+    return checked
+
+
+def _golden_stream_cases():
+    """The distinct (system, theory) pairs of the golden record, with limits."""
+    cases = {}
+    for job in golden_jobs():
+        pair = (
+            json.dumps(job.system.to_spec(), sort_keys=True),
+            json.dumps(job.theory.to_spec(), sort_keys=True),
+        )
+        if pair not in cases:
+            wide = job.label.startswith("tree_wide")
+            limit = TREE_WIDE_EXPLORATION_LIMIT if wide else GOLDEN_EXPLORATION_LIMIT
+            cases[pair] = (job.label or "golden", job.system, job.theory, limit)
+    return list(cases.values())
+
+
+def test_delta_streams_match_the_reference_on_golden_jobs():
+    cases = _golden_stream_cases()
+    kinds = {type(theory).__name__ for _, _, theory, _ in cases}
+    assert kinds == {
+        "AllDatabasesTheory",
+        "HomTheory",
+        "WordRunTheory",
+        "TreeRunTheory",
+        "DataValuedTheory",
+    }
+    checked = sum(_check_streams(system, theory, limit) for _, system, theory, limit in cases)
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("system,theory_builder,expected", _equivalence_cases())
+def test_delta_streams_match_the_reference(system, theory_builder, expected):
+    assert _check_streams(system, theory_builder(), limit=150) > 0
+
+
+def test_delta_stream_matches_the_reference_on_a_hom_deep_job():
+    job = generate_jobs(1, seed=5, families=["hom_deep"])[0]
+    assert _check_streams(job.system, job.theory, GOLDEN_EXPLORATION_LIMIT) > 0

@@ -25,7 +25,6 @@ from repro.library import (
     self_loop_required_system,
     triangle_system,
 )
-from repro.perf import caches_disabled
 from repro.relational.csp import COLORED_GRAPH_SCHEMA, GRAPH_SCHEMA
 
 EXAMPLE_CASES = [
@@ -75,16 +74,12 @@ def test_all_strategies_agree_on_example_systems(
 
 
 @pytest.mark.parametrize("system_builder,theory_builder,expected", EXAMPLE_CASES)
-def test_strategies_agree_with_legacy_cache_free_engine(
-    system_builder, theory_builder, expected
-):
-    """The cached fast path and the legacy path return identical verdicts."""
-    system = system_builder()
-    with caches_disabled():
-        legacy = EmptinessSolver(theory_builder()).check(system)
-    assert legacy.nonempty == expected
-    fast = EmptinessSolver(theory_builder()).check(system)
-    assert fast.nonempty == legacy.nonempty
+def test_default_solver_returns_the_expected_verdict(system_builder, theory_builder, expected):
+    """A solver built with no options searches bfs to the expected verdict."""
+    result = EmptinessSolver(theory_builder()).check(system_builder())
+    assert result.statistics.strategy == "bfs"
+    assert result.exhausted
+    assert result.nonempty == expected
 
 
 def test_statistics_and_cache_counters_are_populated():

@@ -11,22 +11,23 @@ score of its key, so best-first takes it where the eager heap would.
 
 The reference exploration below checks (a) without the engine: it drives
 ``successor_configurations`` and ``guard_holds`` from every seed and keys
-configurations with ``abstraction_key`` itself.
+configurations with ``abstraction_key`` itself.  The stream oracle of
+``tests/test_plans.py`` walks the same exploration.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, List, Tuple
+from typing import Hashable, Iterator, List, Optional, Tuple
 
 import pytest
 
 from repro import EmptinessSolver
-from repro.fraisse.base import DatabaseTheory, Seed, guard_holds
+from repro.fraisse.base import DatabaseTheory, Seed, TheoryConfiguration, guard_holds
 from repro.fraisse.search import BreadthFirstStrategy, abstraction_key_score
 from repro.library import register_swap_system, triangle_system
 from repro.relational import GRAPH_SCHEMA, AllDatabasesTheory, HomTheory, clique_template
-from repro.systems.dds import DatabaseDrivenSystem
+from repro.systems.dds import DatabaseDrivenSystem, Transition
 from repro.words import WordRunTheory
 from repro.workloads import generate_jobs
 
@@ -49,13 +50,21 @@ def seed_keys(system: DatabaseDrivenSystem, theory: DatabaseTheory) -> List[Hash
     return [theory.abstraction_key(config) for config in theory.initial_configurations(system)]
 
 
-def landing_keys(
-    system: DatabaseDrivenSystem, theory: DatabaseTheory, limit: int = EXPLORATION_LIMIT
-) -> List[Hashable]:
-    """Keys of the configurations a bounded bfs reaches in an initial state.
+#: One candidate of the reference enumeration, and its key if its guard holds.
+Successor = Tuple[TheoryConfiguration, Optional[Hashable]]
 
+
+def reference_walk(
+    system: DatabaseDrivenSystem, theory: DatabaseTheory, limit: int = EXPLORATION_LIMIT
+) -> Iterator[Tuple[TheoryConfiguration, Transition, List[Successor]]]:
+    """A bounded bfs over the reference enumeration, without the engine.
+
+    Yields ``(config, transition, successors)`` for every explored
+    configuration and every transition out of it: ``successors`` lists
+    ``successor_configurations`` in order, each candidate with its
+    ``abstraction_key`` if ``guard_holds`` on its database, else None.
     Every reachable (state, key) is explored once, landings included, so
-    nothing reachable is skipped on the strength of the claim under test.
+    nothing reachable is skipped on the strength of a claim under test.
     """
     frontier: deque = deque()
     seen = set()
@@ -63,28 +72,39 @@ def landing_keys(
         for config in theory.initial_configurations(system):
             seen.add((state, theory.abstraction_key(config)))
             frontier.append((state, config))
-    landed: List[Hashable] = []
     explored = 0
     while frontier and explored < limit:
         state, config = frontier.popleft()
         explored += 1
         for transition in system.transitions_from(state):
+            successors: List[Successor] = []
             for candidate in theory.successor_configurations(system, config, transition):
-                if not guard_holds(
+                holds = guard_holds(
                     theory.database(candidate),
                     system.registers,
                     transition.guard,
                     config.valuation,
                     candidate.valuation,
-                ):
-                    continue
-                key = theory.abstraction_key(candidate)
-                if transition.target in system.initial_states:
-                    landed.append(key)
-                if (transition.target, key) not in seen:
+                )
+                key = theory.abstraction_key(candidate) if holds else None
+                successors.append((candidate, key))
+                if holds and (transition.target, key) not in seen:
                     seen.add((transition.target, key))
                     frontier.append((transition.target, candidate))
-    return landed
+            yield config, transition, successors
+
+
+def landing_keys(
+    system: DatabaseDrivenSystem, theory: DatabaseTheory, limit: int = EXPLORATION_LIMIT
+) -> List[Hashable]:
+    """Keys of the configurations :func:`reference_walk` reaches in an initial state."""
+    return [
+        key
+        for _, transition, successors in reference_walk(system, theory, limit)
+        if transition.target in system.initial_states
+        for _, key in successors
+        if key is not None
+    ]
 
 
 def covering_cases() -> List[Tuple[str, DatabaseDrivenSystem, DatabaseTheory]]:

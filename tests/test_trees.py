@@ -1,5 +1,10 @@
 """Tests for the tree case (Sections 3.1, 5.2-5.4, Theorem 3)."""
 
+import json
+import sys
+from collections import deque
+from pathlib import Path
+
 import pytest
 
 from repro.fraisse.engine import EmptinessSolver
@@ -19,6 +24,14 @@ from repro.trees import (
     treedb,
     universal_automaton,
 )
+from repro.trees.automata import grid_encoding_automaton
+from repro.trees.theory import Skeleton
+from repro.workloads import generate_jobs
+
+# The golden record's jobs are built by its own test module; make it
+# importable under every pytest import mode.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_golden_verdicts import golden_jobs  # noqa: E402
 
 
 def sample_tree():
@@ -314,3 +327,68 @@ def test_tree_theory_finalize_produces_accepted_tree():
     # finalize() raises internally if the expansion is not accepted, and the
     # run was replayed on the expanded Treedb; check basic shape here.
     assert result.run.database.size >= 3
+
+
+# -- local completability: placements against the whole-skeleton check ----------
+
+#: Placements compared per tree automaton and register count (unbounded,
+#: the golden record's automata alone place over a million skeletons).
+PLACEMENTS_COMPARED = 1_500
+
+
+def _placement_cases():
+    """``(automaton spec, registers)`` pairs to place nodes for.
+
+    The golden record's tree systems, a generated tree mix, and the
+    constrained automata of Fact 16 and Theorem 17, whose children sequences
+    make the completability check decide.  Placements depend only on the
+    automaton and the number of nodes placed, so each pair is kept once.
+    """
+    cases = {}
+    for job in golden_jobs() + generate_jobs(40, seed=2205, families=["tree"]):
+        if isinstance(job.theory, TreeRunTheory):
+            spec = job.theory.to_spec()
+            cases.setdefault((json.dumps(spec, sort_keys=True), len(job.system.registers)), spec)
+    for automaton in (caterpillar_automaton(), grid_encoding_automaton()):
+        spec = TreeRunTheory(automaton).to_spec()
+        for registers in (1, 2):
+            cases.setdefault((json.dumps(spec, sort_keys=True), registers), spec)
+    return [(spec, registers) for (_, registers), spec in cases.items()]
+
+
+def _compare_placements(spec, registers: int) -> int:
+    """Grow skeletons bfs from single nodes; compare each one's placements.
+
+    ``local`` places nodes as the engine does, checking completability only
+    at the nodes a move touched.  On ``whole`` that check is replaced by
+    :meth:`~repro.trees.theory.TreeRunTheory.skeleton_completable` of an
+    untouched twin, the check of every node, so both must place the same
+    skeletons in the same order.  Every skeleton placed must also expand into
+    a tree the automaton accepts.
+    """
+    local = TreeRunTheory.from_spec(spec)
+    whole = TreeRunTheory.from_spec(spec)
+    whole_skeleton_check = TreeRunTheory.from_spec(spec).skeleton_completable
+    whole._node_completable = lambda skeleton, node: whole_skeleton_check(skeleton)
+    frontier = deque(Skeleton.single(state) for state in sorted(local.analysis.trimmed_states))
+    seen = set(frontier)
+    compared = 0
+    while frontier and compared < PLACEMENTS_COMPARED:
+        skeleton = frontier.popleft()
+        for count in range(1, registers + 1):
+            placed = list(local._place_nodes(skeleton, count))
+            assert placed == list(whole._place_nodes(skeleton, count))
+            compared += len(placed)
+        for extended, _ in local._place_nodes(skeleton, 1):
+            if extended not in seen:
+                seen.add(extended)
+                frontier.append(extended)
+                tree, _ = local.expand_skeleton(extended)
+                assert local.automaton.accepts(tree)
+    return compared
+
+
+def test_local_completability_check_places_like_the_whole_skeleton_check():
+    cases = _placement_cases()
+    assert len(cases) >= 8 and {registers for _, registers in cases} == {1, 2}
+    assert sum(_compare_placements(spec, registers) for spec, registers in cases) > 10_000

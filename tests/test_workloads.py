@@ -119,19 +119,18 @@ class TestStressFamilies:
             assert workload["max_configurations"] > 0
 
     def test_hom_deep_runs_end_to_end(self):
-        """One small adversarial HOM job decides identically on both paths."""
+        """One small adversarial HOM job runs to a definitive verdict.
+
+        ``tests/test_plans.py`` checks this job's delta stream against the
+        reference enumeration.
+        """
         from repro.fraisse.engine import EmptinessSolver
-        from repro.perf import caches_disabled
 
         job = generate_jobs(1, seed=5, families=["hom_deep"])[0]
-        fast = EmptinessSolver(
+        result = EmptinessSolver(
             job.theory, max_configurations=job.max_configurations
         ).check(job.system)
-        with caches_disabled():
-            legacy = EmptinessSolver(
-                job.theory, max_configurations=job.max_configurations
-            ).check(job.system)
-        assert fast.nonempty == legacy.nonempty
+        assert result.exhausted and result.nonempty
 
 
 class TestDeprecatedWireShims:
