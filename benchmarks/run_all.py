@@ -748,7 +748,7 @@ def run_cluster_benchmark(smoke: bool) -> dict:
     """Fleet throughput: coordinator + runners over one shared keyspace.
 
     Builds the full distributed topology in-process -- a ``repro store
-    serve`` keyspace thread, two runner nodes whose stores point at it,
+    serve`` keyspace on a server thread, two runner nodes whose stores point at it,
     and a fingerprint-sharded coordinator front door -- and measures:
 
     * **cold** -- one fan-out execution of the seeded batch across the
@@ -762,7 +762,7 @@ def run_cluster_benchmark(smoke: bool) -> dict:
     """
     from repro.service import (
         CoordinatorService,
-        KeyspaceServerThread,
+        KeyspaceService,
         ResultStore,
         ServerThread,
         ServiceClient,
@@ -776,7 +776,7 @@ def run_cluster_benchmark(smoke: bool) -> dict:
     for _, result in BatchRunner(workers=1).execute_indexed(jobs):
         serial[result.fingerprint] = (result.nonempty, result.exhausted)
     rounds = 3 if smoke else 5
-    with KeyspaceServerThread() as keyspace:
+    with ServerThread(service=KeyspaceService("memory:")) as keyspace:
         runner_a = ServerThread(
             service=VerificationService(store=ResultStore.from_url(keyspace.base_url))
         )

@@ -6,7 +6,7 @@ a persistent result store -- once cold (engine work), once warm (served
 entirely by fingerprint lookup) -- and prints what happened.  Equivalent CLI:
 
     repro batch --count 20 --seed 7 --workers 2 --store /tmp/verdicts.sqlite
-    repro store stats --db /tmp/verdicts.sqlite
+    repro store stats --store /tmp/verdicts.sqlite
 
 Run with ``PYTHONPATH=src python examples/batch_service.py`` from a checkout.
 """

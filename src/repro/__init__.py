@@ -69,7 +69,7 @@ from repro.telemetry import (
 )
 from repro.workloads import generate_jobs
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Schema",

@@ -69,24 +69,6 @@ from repro.service import BatchRunner, ResultStore, RetryPolicy
 from repro.service.server import DEFAULT_MAX_CONNECTIONS, DEFAULT_MAX_PENDING
 from repro.workloads import FAMILIES, generate_jobs
 
-def _warn_deprecated(old: str, new: str) -> None:
-    print(f"repro: {old} is deprecated; use {new}", file=sys.stderr)
-
-
-def _resolve_store_spec(args: argparse.Namespace) -> Optional[str]:
-    """The store backend spec from ``--store``, honoring the old ``--db``.
-
-    ``--db`` predates the URL-style backend addressing and stays as a
-    deprecated alias; ``--store`` wins when both are given.
-    """
-    db = getattr(args, "db", None)
-    if db is not None:
-        if args.store is not None:
-            return args.store
-        _warn_deprecated("--db", "--store")
-        return db
-    return args.store
-
 
 def _store_token() -> Optional[str]:
     """Shared-secret for a remote (``http://``) store backend, from the
@@ -433,7 +415,7 @@ def _command_trace(args: argparse.Namespace) -> int:
     Chrome's about://tracing; ``--raw`` dumps the recorder's native form
     (seconds-based spans) instead.
     """
-    spec = _resolve_store_spec(args)
+    spec = args.store
     if not spec:
         print("trace needs a store: pass --store URL", file=sys.stderr)
         return 2
@@ -490,7 +472,7 @@ def _command_verify(args: argparse.Namespace) -> int:
             client.close()
         encoded = payload.get("certificate") if isinstance(payload, dict) else None
     else:
-        spec = _resolve_store_spec(args)
+        spec = args.store
         if not spec:
             print("verify needs a source: pass --store URL or --url URL", file=sys.stderr)
             return 2
@@ -535,25 +517,23 @@ def _command_verify(args: argparse.Namespace) -> int:
 
 
 def _command_store(args: argparse.Namespace) -> int:
-    spec = _resolve_store_spec(args)
+    spec = args.store
     if args.action == "serve":
-        from repro.service.keyspace import run_keyspace_server
+        from repro.service.keyspace import KeyspaceService
+        from repro.service.server import run_server
 
         auth_token = args.auth_token or os.environ.get("REPRO_AUTH_TOKEN") or None
         try:
-            run_keyspace_server(
+            service = KeyspaceService(
                 spec or "memory:",
-                host=args.host,
-                port=args.port,
                 ttl_seconds=args.ttl,
                 max_entries=args.max_entries,
                 auth_token=auth_token,
-                port_file=args.port_file,
             )
         except (ValueError, StoreError) as error:
             print(str(error), file=sys.stderr)
             return 2
-        return 0
+        return run_server(service=service, host=args.host, port=args.port, port_file=args.port_file)
     if not spec:
         print(f"store {args.action} needs a store: pass --store URL", file=sys.stderr)
         return 2
@@ -784,7 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="backend URL -- sqlite:PATH, memory:, http://host:port, or a "
         "bare SQLite path (for `serve`, the backing storage; default: memory:)",
     )
-    store.add_argument("--db", default=None, help="deprecated alias for --store")
     store.add_argument("--output", default=None, help="file for `export` (default: stdout)")
     store.add_argument(
         "--host", default="127.0.0.1", help="`serve`: bind address (default: 127.0.0.1)"
@@ -817,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--auth-token",
         default=None,
         help="`serve`: require this shared-secret token on every request "
-        "except /v1/ (default: $REPRO_AUTH_TOKEN, else no auth)",
+        "except /v1/ and /v1/healthz (default: $REPRO_AUTH_TOKEN, else no auth)",
     )
     store.set_defaults(handler=_command_store)
 
@@ -830,7 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="result store backend URL (sqlite:PATH, http://host:port, or a bare path)",
     )
-    trace.add_argument("--db", default=None, help="deprecated alias for --store")
     trace.add_argument(
         "--output",
         default=None,

@@ -78,7 +78,6 @@ witnesses are identical either way.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
@@ -187,22 +186,6 @@ class EmptinessResult:
     @property
     def empty(self) -> bool:
         return not self.nonempty
-
-    @property
-    def witness_database(self) -> Optional[Structure]:
-        """Deprecated accessor for the witness database; use ``run.database``.
-
-        Slated for removal in 2.0: the witness now lives on the run (and, in
-        serialized form, inside the certificate object).
-        """
-        warnings.warn(
-            "EmptinessResult.witness_database is deprecated; use "
-            "result.run.database (or the certificate object) instead. "
-            "It will be removed in 2.0.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run.database if self.run is not None else None
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.nonempty

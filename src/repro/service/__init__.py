@@ -45,11 +45,7 @@ from repro.service.client import (
     post_jobs,
 )
 from repro.service.coordinator import CoordinatorService
-from repro.service.keyspace import (
-    KeyspaceServerThread,
-    KeyspaceService,
-    run_keyspace_server,
-)
+from repro.service.keyspace import KeyspaceService
 from repro.service.jobs import (
     DEFAULT_JOB_MAX_CONFIGURATIONS,
     JOB_ERROR_CODES,
@@ -85,8 +81,6 @@ __all__ = [
     "backend_from_url",
     "ROW_SCHEMA_VERSION",
     "KeyspaceService",
-    "KeyspaceServerThread",
-    "run_keyspace_server",
     "CoordinatorService",
     "SERVICE_ROUTES",
     "VerificationService",

@@ -14,9 +14,7 @@ so a fleet of runners shares one remote verdict cache through the exact
 interface the local SQLite store uses.
 
 The module-level :func:`jobs_to_wire` / :func:`post_jobs` helpers are the
-functional face of the same client; ``repro.workloads`` re-exports them --
-now as deprecated shims -- for backwards compatibility with pre-``/v1``
-scripts.
+functional face of the same client.
 """
 
 from __future__ import annotations
@@ -146,7 +144,6 @@ class ServiceClient:
         jitter: float = 0.5,
         retry_deadline: Optional[float] = DEFAULT_RETRY_DEADLINE_SECONDS,
         keep_alive: bool = True,
-        api_version: str = "v1",
     ) -> None:
         if backoff_base < 0 or backoff_max < 0:
             raise ValueError("backoff seconds must be >= 0")
@@ -169,7 +166,6 @@ class ServiceClient:
         self._jitter = jitter
         self._retry_deadline = retry_deadline
         self._keep_alive = keep_alive
-        self._prefix = f"/{api_version}" if api_version else ""
         self._connection: Optional[http.client.HTTPConnection] = None
 
     # -- connection management ---------------------------------------------------
@@ -276,7 +272,7 @@ class ServiceClient:
         ``If-Match`` preconditions) on top of the standard set.
         """
         body = None if payload is None else json.dumps(payload).encode("utf-8")
-        url = self._prefix + path
+        url = "/v1" + path
         deadline = (
             time.monotonic() + self._retry_deadline if self._retry_deadline is not None else None
         )

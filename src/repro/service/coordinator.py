@@ -442,7 +442,7 @@ class CoordinatorService(VerificationService):
         return None
 
     async def _handle_job_witness(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
         """Serve a witness certificate, forwarding to the fleet when needed.
 
@@ -455,7 +455,7 @@ class CoordinatorService(VerificationService):
         fingerprint = self._witness_of(request)
         cached = self._store.get(fingerprint) if self._store is not None else None
         if cached is not None and cached.certificate is not None:
-            await super()._handle_job_witness(request, writer, extra, keep)
+            await super()._handle_job_witness(request, writer, keep)
             return
         loop = asyncio.get_running_loop()
         # Fleet polling blocks on HTTP calls; keep it off the loop.
@@ -475,21 +475,20 @@ class CoordinatorService(VerificationService):
             writer,
             200,
             {**payload, "served_from": "runner"},
-            headers=extra,
             keep_alive=keep,
         )
 
     async def _handle_stats(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
         loop = asyncio.get_running_loop()
         # Polling the fleet blocks on N HTTP calls; keep it off the loop.
         fleet = await loop.run_in_executor(self._executor, self._fleet_snapshot)
         payload = {**self._stats_payload(), "fleet": fleet}
-        await self._send_json(writer, 200, payload, headers=extra, keep_alive=keep)
+        await self._send_json(writer, 200, payload, keep_alive=keep)
 
     async def _handle_metrics(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
         loop = asyncio.get_running_loop()
         body = (await loop.run_in_executor(self._executor, self._render_fleet_metrics)).encode(
@@ -500,6 +499,5 @@ class CoordinatorService(VerificationService):
             200,
             body,
             content_type="text/plain; version=0.0.4; charset=utf-8",
-            headers=extra,
             keep_alive=keep,
         )

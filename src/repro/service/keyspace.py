@@ -22,25 +22,25 @@ Design points:
   enforced on read, so clients of a shared keyspace cannot observe each
   other's expired rows regardless of their own store policy.  ``--max-
   entries`` evicts oldest-first on write, same as the local store policy.
-* **Same envelope, same auth.**  Errors use the unified error envelope and
-  a shared-secret token is checked exactly like the job server's
-  (``Authorization: Bearer`` or ``X-Auth-Token``, constant-time compare).
-
-The server itself is a ``ThreadingHTTPServer``: every operation is one
-short backend call under the backend's own lock, so plain threads beat an
-event loop here and keep the module free of the job server's machinery.
+* **One transport.**  :class:`KeyspaceService` is a route set on the job
+  server's :class:`~repro.service.server.HTTPService`, so the keyspace
+  shares its HTTP/1.1 framing, token auth (``Authorization: Bearer`` or
+  ``X-Auth-Token``, constant-time compare), error envelope, connection
+  cap, idle and read budgets, body limit, request-latency metrics and
+  SIGTERM drain.  Every operation is one short backend call, so
+  :meth:`KeyspaceService.handle` runs on the event loop itself; ``repro
+  store serve`` is :func:`~repro.service.server.run_server` with a
+  keyspace service.
 """
 
 from __future__ import annotations
 
-import hmac
+import asyncio
 import json
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.service.backends import (
     ROW_DEFAULTS,
@@ -49,10 +49,7 @@ from repro.service.backends import (
     StoreBackend,
     backend_from_url,
 )
-from repro.service.server import API_VERSION, error_envelope
-from repro.telemetry import MetricsRegistry, get_logger
-
-logger = get_logger("repro.service.keyspace")
+from repro.service.server import API_VERSION, ApiError, HTTPService, Request, error_envelope
 
 
 def _repro_version() -> str:
@@ -78,6 +75,23 @@ KEYSPACE_ROUTES = (
     "POST /checkpoint",
 )
 
+#: The ``endpoint`` label of each route in the request-latency summary;
+#: ``/keys/{key}`` is labelled by method (``key_get``, ``key_put``,
+#: ``key_delete``).
+KEYSPACE_ENDPOINTS: Dict[str, str] = {
+    "/": "discovery",
+    "/healthz": "healthz",
+    "/stats": "stats",
+    "/metrics": "metrics",
+    "/keys": "keys",
+    "/count": "count",
+    "/rows": "rows",
+    "/scan/oldest": "scan_oldest",
+    "/scan/expired": "scan_expired",
+    "/clear": "clear",
+    "/checkpoint": "checkpoint",
+}
+
 #: Error codes specific to the keyspace protocol; everything else reuses
 #: the job server's :data:`~repro.service.server.ERROR_CODES`.
 KEYSPACE_ERROR_CODES: Dict[str, str] = {
@@ -88,22 +102,15 @@ KEYSPACE_ERROR_CODES: Dict[str, str] = {
 }
 
 
-class _KeyspaceError(Exception):
-    def __init__(self, status: int, code: str, message: str, detail: Any = None) -> None:
-        super().__init__(message)
-        self.status = status
-        self.code = code
-        self.message = message
-        self.detail = detail
+class KeyspaceService(HTTPService):
+    """``repro store serve``: the keyspace routes on the shared transport.
 
-
-class KeyspaceService:
-    """The protocol logic behind ``repro store serve``, HTTP-free.
-
-    Maps ``(method, path, query, body, headers)`` to ``(status, payload,
-    headers)`` so the request handler stays a thin shell and tests can
-    drive the protocol without sockets.
+    The transport sends every keyspace route to :meth:`handle`, which maps
+    ``(method, path, body, headers)`` to ``(status, payload, headers)``
+    without sockets, so tests can also drive the protocol directly.
     """
+
+    role = "store"
 
     def __init__(
         self,
@@ -119,11 +126,10 @@ class KeyspaceService:
             raise ValueError("ttl_seconds must be positive when set")
         if max_entries is not None and max_entries <= 0:
             raise ValueError("max_entries must be positive when set")
+        super().__init__(auth_token=auth_token)
         self._ttl = ttl_seconds
         self._max_entries = max_entries
-        self._auth_token = auth_token
         self._write_lock = threading.RLock()
-        self.registry = MetricsRegistry()
         self._ops = self.registry.counter(
             "repro_keyspace_ops_total",
             "Keyspace operations served, by op and outcome.",
@@ -179,26 +185,46 @@ class KeyspaceService:
                 if self._backend.delete(key):
                     self._evicted.inc()
 
-    # -- auth --------------------------------------------------------------------
+    # -- the transport's hooks ---------------------------------------------------
 
-    def _authorize(self, headers: Mapping[str, str]) -> None:
-        if self._auth_token is None:
-            return
-        supplied = None
-        authorization = headers.get("Authorization", "")
-        if authorization.startswith("Bearer "):
-            supplied = authorization[len("Bearer "):]
-        elif "X-Auth-Token" in headers:
-            supplied = headers["X-Auth-Token"]
-        if supplied is None:
-            raise _KeyspaceError(
-                401,
-                "auth-required",
-                "this keyspace requires a token",
-                detail="send 'Authorization: Bearer <token>' or 'X-Auth-Token: <token>'",
+    def _route(self, request: Request, rest: str):
+        """Every keyspace route goes to one handler; only the label differs.
+
+        :meth:`handle` answers unknown paths and methods itself.
+        """
+        if rest.startswith("/keys/"):
+            method = request.method
+            label = f"key_{method.lower()}" if method in ("GET", "PUT", "DELETE") else "error"
+        else:
+            label = KEYSPACE_ENDPOINTS.get(rest, "error")
+        return label, self._handle_request
+
+    async def _handle_request(
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
+    ) -> None:
+        path = self._strip_version(request.path)
+        if request.query:
+            path += "?" + request.query
+        status, payload, headers = self.handle(request.method, path, request.body, request.headers)
+        if isinstance(payload, str):
+            await self._send_raw(
+                writer,
+                status,
+                payload.encode("utf-8"),
+                content_type=headers.pop("Content-Type"),
+                headers=headers,
+                keep_alive=keep,
             )
-        if not hmac.compare_digest(supplied, self._auth_token):
-            raise _KeyspaceError(403, "auth-invalid", "the supplied token does not match")
+        else:
+            await self._send_json(writer, status, payload, headers=headers, keep_alive=keep)
+
+    def _flush(self) -> None:
+        self._backend.checkpoint()
+
+    async def stop(self) -> None:
+        """Close the listener and every connection, then the backend."""
+        await super().stop()
+        self.close()
 
     # -- request handling --------------------------------------------------------
 
@@ -209,20 +235,19 @@ class KeyspaceService:
         body: Optional[bytes],
         headers: Mapping[str, str],
     ) -> Tuple[int, Any, Dict[str, str]]:
-        """Serve one request; returns ``(status, json payload, headers)``."""
+        """Serve one request; returns ``(status, json payload, headers)``.
+
+        ``path`` is relative to ``/v1`` and may carry a query string;
+        ``headers`` are keyed in lower case, as the transport parses them.
+        Auth is the transport's.  A data request moves
+        ``repro_keyspace_ops_total`` exactly once: by the outcome of its
+        backend op, or as ``error`` when it is refused before any.
+        """
         parsed = urllib.parse.urlsplit(path)
         query = dict(urllib.parse.parse_qsl(parsed.query))
-        route = parsed.path
-        if route == f"/{API_VERSION}" or route.startswith(f"/{API_VERSION}/"):
-            route = route[len(API_VERSION) + 1:] or "/"
         try:
-            # Discovery and liveness stay open (mirrors `repro serve`): load
-            # balancers and clients probing schema compatibility need them
-            # before they hold a token.
-            if route not in ("/", "/healthz"):
-                self._authorize(headers)
-            return self._dispatch(method, route, query, body, headers)
-        except _KeyspaceError as error:
+            return self._dispatch(method, parsed.path, query, body, headers)
+        except ApiError as error:
             self._ops.inc(op=method.lower(), outcome="error")
             return (
                 error.status,
@@ -243,9 +268,16 @@ class KeyspaceService:
             return 200, self.discovery_document(), {}
         if route == "/healthz":
             self._require(method, "GET", route)
-            from repro import __version__  # deferred: repro imports this package
-
-            return 200, {"status": "ok", "role": "store", "version": __version__}, {}
+            return (
+                200,
+                {
+                    "status": "draining" if self._draining else "ok",
+                    "role": self.role,
+                    "version": _repro_version(),
+                    "auth": self._auth_token is not None,
+                },
+                {},
+            )
         if route == "/stats":
             self._require(method, "GET", route)
             return 200, self.stats_payload(), {}
@@ -290,7 +322,7 @@ class KeyspaceService:
             self._backend.checkpoint()
             self._ops.inc(op="checkpoint", outcome="ok")
             return 200, {"ok": True}, {}
-        raise _KeyspaceError(
+        raise ApiError(
             404,
             "not-found",
             f"no route {route}",
@@ -305,16 +337,14 @@ class KeyspaceService:
     @staticmethod
     def _require(method: str, expected: str, route: str) -> None:
         if method != expected:
-            raise _KeyspaceError(
-                405, "method-not-allowed", f"{route} only answers {expected}"
-            )
+            raise ApiError(405, "method-not-allowed", f"{route} only answers {expected}")
 
     @staticmethod
     def _int_param(query: Dict[str, str], name: str) -> int:
         try:
             return int(query[name])
         except (KeyError, ValueError):
-            raise _KeyspaceError(
+            raise ApiError(
                 400, "bad-request", f"query parameter {name!r} must be an integer"
             ) from None
 
@@ -323,7 +353,7 @@ class KeyspaceService:
         try:
             return float(query[name])
         except (KeyError, ValueError):
-            raise _KeyspaceError(
+            raise ApiError(
                 400, "bad-request", f"query parameter {name!r} must be a number"
             ) from None
 
@@ -335,12 +365,12 @@ class KeyspaceService:
         headers: Mapping[str, str],
     ) -> Tuple[int, Any, Dict[str, str]]:
         if not key or "/" in key:
-            raise _KeyspaceError(404, "not-found", f"bad key {key!r}")
+            raise ApiError(404, "not-found", f"bad key {key!r}")
         if method == "GET":
             row = self._live_row(key)
             if row is None:
                 self._ops.inc(op="get", outcome="miss")
-                raise _KeyspaceError(404, "not-found", f"no row for key {key}")
+                return 404, error_envelope("not-found", f"no row for key {key}"), {}
             self._ops.inc(op="get", outcome="hit")
             return 200, {"row": row}, {}
         if method == "DELETE":
@@ -349,28 +379,22 @@ class KeyspaceService:
             return 200, {"deleted": deleted}, {}
         if method == "PUT":
             return self._put_key(key, body, headers)
-        raise _KeyspaceError(
-            405, "method-not-allowed", "/keys/{key} only answers GET, PUT, DELETE"
-        )
+        raise ApiError(405, "method-not-allowed", "/keys/{key} only answers GET, PUT, DELETE")
 
     def _put_key(
         self, key: str, body: Optional[bytes], headers: Mapping[str, str]
     ) -> Tuple[int, Any, Dict[str, str]]:
         if not body:
-            raise _KeyspaceError(400, "bad-request", "PUT requires a JSON row body")
+            raise ApiError(400, "bad-request", "PUT requires a JSON row body")
         try:
             decoded = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _KeyspaceError(
-                400, "invalid-json", f"row body is not valid JSON: {error}"
-            ) from None
+            raise ApiError(400, "invalid-json", f"row body is not valid JSON: {error}") from None
         if not isinstance(decoded, dict) or "created_at" not in decoded:
-            raise _KeyspaceError(
-                400, "invalid-spec", "a row is a JSON object with at least created_at"
-            )
+            raise ApiError(400, "invalid-spec", "a row is a JSON object with at least created_at")
         row = {field: decoded.get(field, ROW_DEFAULTS.get(field)) for field in ROW_FIELDS}
         row["fingerprint"] = key
-        if_match = headers.get("If-Match")
+        if_match = headers.get("if-match")
         # The conditional forms and eviction run under one lock so the
         # precondition check, the write and the oldest-first trim are one
         # atomic step from any writer's point of view.  (The backend
@@ -387,28 +411,22 @@ class KeyspaceService:
                     current = None
                 if current is not None or not self._backend.put_if_absent(key, row):
                     self._ops.inc(op="put", outcome="precondition-failed")
-                    raise _KeyspaceError(
-                        412,
-                        "precondition-failed",
-                        f"key {key} already has a live row",
-                    )
+                    message = f"key {key} already has a live row"
+                    return 412, error_envelope("precondition-failed", message), {}
                 self._ops.inc(op="put", outcome="ok")
             else:
                 try:
                     expected = float(if_match.strip('"'))
                 except ValueError:
-                    raise _KeyspaceError(
+                    raise ApiError(
                         400,
                         "bad-request",
                         "If-Match must be '*' or a created_at timestamp",
                     ) from None
                 if not self._backend.compare_and_put(key, row, expected):
                     self._ops.inc(op="put", outcome="precondition-failed")
-                    raise _KeyspaceError(
-                        412,
-                        "precondition-failed",
-                        f"key {key} has no row with created_at == {expected!r}",
-                    )
+                    message = f"key {key} has no row with created_at == {expected!r}"
+                    return 412, error_envelope("precondition-failed", message), {}
                 self._ops.inc(op="put", outcome="ok")
             self._evict()
         return 200, {"stored": True}, {}
@@ -448,151 +466,8 @@ class KeyspaceService:
         self._backend.close()
 
 
-class _KeyspaceHandler(BaseHTTPRequestHandler):
-    """Thin HTTP shell around :meth:`KeyspaceService.handle`."""
-
-    protocol_version = "HTTP/1.1"
-    service: KeyspaceService  # set by _make_server
-
-    def _serve(self, method: str) -> None:
-        body = None
-        length = self.headers.get("Content-Length")
-        if length is not None:
-            try:
-                body = self.rfile.read(int(length))
-            except (ValueError, OSError):
-                body = None
-        status, payload, extra = self.service.handle(method, self.path, body, self.headers)
-        if isinstance(payload, str):
-            raw = payload.encode("utf-8")
-            content_type = extra.pop("Content-Type", "text/plain; charset=utf-8")
-        else:
-            raw = json.dumps(payload).encode("utf-8")
-            content_type = extra.pop("Content-Type", "application/json")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(raw)))
-        for name, value in extra.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        self._serve("GET")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._serve("PUT")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._serve("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._serve("DELETE")
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        logger.debug("keyspace %s", format % args)
-
-
-def _make_server(service: KeyspaceService, host: str, port: int) -> ThreadingHTTPServer:
-    handler = type("BoundKeyspaceHandler", (_KeyspaceHandler,), {"service": service})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
-
-
-def run_keyspace_server(
-    backend: Union[StoreBackend, str],
-    host: str = "127.0.0.1",
-    port: int = 8090,
-    ttl_seconds: Optional[float] = None,
-    max_entries: Optional[int] = None,
-    auth_token: Optional[str] = None,
-    port_file: Optional[str] = None,
-) -> None:
-    """Serve the keyspace until interrupted (the ``repro store serve`` loop).
-
-    With ``port=0`` the OS picks a free port; ``port_file`` then lets
-    scripts (the CI cluster smoke job) discover it race-free, mirroring
-    ``repro serve --port-file``.
-    """
-    service = KeyspaceService(
-        backend,
-        ttl_seconds=ttl_seconds,
-        max_entries=max_entries,
-        auth_token=auth_token,
-    )
-    server = _make_server(service, host, port)
-    bound_host, bound_port = server.server_address[:2]
-    if port_file is not None:
-        Path(port_file).write_text(f"{bound_port}\n")
-    print(
-        f"repro store serve: keyspace {service.backend.name} on "
-        f"http://{bound_host}:{bound_port} (api /{API_VERSION}, "
-        f"auth {'on' if auth_token else 'off'})",
-        flush=True,
-    )
-    try:
-        server.serve_forever(poll_interval=0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        service.backend.checkpoint()
-        service.close()
-
-
-class KeyspaceServerThread:
-    """A keyspace server on a background thread, for tests and benchmarks.
-
-    Mirrors :class:`~repro.service.server.ServerThread`: context-managed,
-    binds an ephemeral port, exposes ``base_url``.
-    """
-
-    def __init__(
-        self,
-        backend: Optional[Union[StoreBackend, str]] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        ttl_seconds: Optional[float] = None,
-        max_entries: Optional[int] = None,
-        auth_token: Optional[str] = None,
-    ) -> None:
-        self.service = KeyspaceService(
-            backend if backend is not None else "memory:",
-            ttl_seconds=ttl_seconds,
-            max_entries=max_entries,
-            auth_token=auth_token,
-        )
-        self._server = _make_server(self.service, host, port)
-        bound_host, bound_port = self._server.server_address[:2]
-        self.host = bound_host
-        self.port = bound_port
-        self.base_url = f"http://{bound_host}:{bound_port}"
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-keyspace",
-            daemon=True,
-        )
-
-    def __enter__(self) -> "KeyspaceServerThread":
-        self._thread.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
-        self.service.close()
-
-
 __all__ = [
     "KEYSPACE_ERROR_CODES",
     "KEYSPACE_ROUTES",
-    "KeyspaceServerThread",
     "KeyspaceService",
-    "run_keyspace_server",
 ]

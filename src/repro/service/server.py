@@ -66,10 +66,12 @@ mounted under the versioned ``/v1`` prefix:
 * ``GET /v1/healthz``, ``GET /v1/stats`` and ``GET /v1/metrics`` are for
   probes and dashboards.
 
-The pre-``/v1`` unversioned paths survive as deprecated aliases: they serve
-identical responses plus a ``Deprecation: true`` header and a ``Link`` to
-the ``/v1`` successor.  Unknown version prefixes (``/v2/...``) return
-``404`` with a hint.  Every error response uses one envelope::
+The HTTP layer itself is :class:`HTTPService`, the one transport every node
+kind serves on: the job node and coordinator here, and the keyspace of
+:mod:`repro.service.keyspace`.  Since 2.0 it answers the ``/v1`` paths only:
+an unversioned path (the old aliases) is a ``404`` whose detail names its
+``/v1`` successor, and an unknown version prefix (``/v2/...``) a ``404``
+with a hint.  Every error response uses one envelope::
 
     {"error": {"code": "<machine code>", "message": "<human>", "detail": ...}}
 
@@ -280,6 +282,19 @@ SERVICE_COUNTERS: Dict[str, Tuple[str, str]] = {
 }
 
 
+#: The counters the transport itself moves; every node kind exports them.
+TRANSPORT_COUNTERS: Dict[str, Tuple[str, str]] = {
+    attr: SERVICE_COUNTERS[attr]
+    for attr in (
+        "rejected",
+        "auth_rejected",
+        "connections_total",
+        "connections_refused",
+        "drains_started",
+    )
+}
+
+
 class ServiceStats:
     """Monotonic counters surfaced by ``GET /v1/stats`` and ``/v1/metrics``.
 
@@ -287,15 +302,19 @@ class ServiceStats:
     service's metrics registry, so the JSON stats endpoint and the
     Prometheus exposition read the same storage.  The attribute API of the
     old dataclass is preserved (``stats.executed += 1``, integer reads).
+    ``counters`` is the node kind's attribute -> ``(metric name, help
+    text)`` map (:attr:`HTTPService.counters`).
     """
 
-    def __init__(self, registry: telemetry.MetricsRegistry) -> None:
+    def __init__(
+        self, registry: telemetry.MetricsRegistry, counters: Mapping[str, Tuple[str, str]]
+    ) -> None:
         object.__setattr__(
             self,
             "_counters",
             {
                 attr: registry.counter(metric_name, help_text)
-                for attr, (metric_name, help_text) in SERVICE_COUNTERS.items()
+                for attr, (metric_name, help_text) in counters.items()
             },
         )
 
@@ -380,6 +399,445 @@ class Request:
         return "close" not in connection
 
 
+class HTTPService:
+    """The HTTP/1.1 transport every node kind serves on.
+
+    It owns the connection layer -- framing, keep-alive and pipelining, the
+    idle and read budgets, the connection cap and the body limit -- plus
+    the ``/v1`` path grammar, token auth, the error envelope, request
+    latency, the transport counters and the listener half of a graceful
+    drain.  A subclass supplies :meth:`_route` (its route set) and what a
+    drain waits for and flushes (:meth:`_in_flight`, :meth:`_flush`).  The
+    users are the job node (:class:`VerificationService`, and through it
+    the coordinator) and the keyspace
+    (:class:`~repro.service.keyspace.KeyspaceService`).
+
+    Parameters
+    ----------
+    auth_token:
+        Optional shared secret.  When set, every endpoint except
+        ``/v1/healthz`` and ``GET /v1/`` requires ``Authorization: Bearer
+        <token>`` or ``X-Auth-Token: <token>``; comparison is constant-time.
+    max_connections:
+        Open-connection cap; over-cap connects get ``503`` and are closed.
+    idle_timeout / read_timeout:
+        Keep-alive idle budget between requests / read budget within one
+        request (see the module constants for the defaults).
+    retry_after:
+        Integer seconds advertised in ``Retry-After`` on 429/503 responses.
+    """
+
+    #: What this node answers for ``role`` in discovery and health checks.
+    role = "node"
+
+    #: Attribute -> ``(metric name, help text)`` of :attr:`stats`; a
+    #: subclass may widen it but must keep :data:`TRANSPORT_COUNTERS`.
+    counters: Dict[str, Tuple[str, str]] = TRANSPORT_COUNTERS
+
+    def __init__(
+        self,
+        auth_token: Optional[str] = None,
+        max_connections: int = DEFAULT_MAX_CONNECTIONS,
+        idle_timeout: float = IDLE_TIMEOUT_SECONDS,
+        read_timeout: float = READ_TIMEOUT_SECONDS,
+        retry_after: int = 1,
+    ) -> None:
+        if max_connections < 1:
+            raise ValueError("max_connections must be >= 1")
+        self._auth_token = auth_token
+        self._max_connections = max_connections
+        self._idle_timeout = idle_timeout
+        self._read_timeout = read_timeout
+        self._retry_after = retry_after
+        self._open_connections = 0
+        self._draining = False
+        self._conn_tasks: set = set()
+        self._server: Optional[asyncio.AbstractServer] = None
+        self.registry = telemetry.MetricsRegistry()
+        self.stats = ServiceStats(self.registry, self.counters)
+        self.latency = LatencyTracker(self.registry)
+
+    async def start(self, host: str = "127.0.0.1", port: int = 8080) -> Tuple[str, int]:
+        """Bind and start serving; returns the (host, port) actually bound."""
+        self._server = await asyncio.start_server(self._accept, host, port)
+        sockname = self._server.sockets[0].getsockname()
+        return sockname[0], sockname[1]
+
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        # A plain callback, not a coroutine: asyncio would run a coroutine in
+        # a task of its own whose done-callback, on Python 3.11, logs a
+        # CancelledError traceback for every connection stop() cancels.  The
+        # service owns each connection's task instead, and stop() collects it.
+        task = asyncio.get_running_loop().create_task(self._handle_client(reader, writer))
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+
+    async def serve_forever(self) -> None:
+        assert self._server is not None, "start() must be called first"
+        await self._server.serve_forever()
+
+    @property
+    def draining(self) -> bool:
+        return self._draining
+
+    async def drain(self, timeout: float = 30.0) -> bool:
+        """Gracefully wind the service down; returns True on a clean drain.
+
+        Drain mode (entered at most once; re-entry just reports the state):
+
+        1. Stop accepting: the listening socket closes.  Surviving keep-alive
+           connections are still served; a subclass may refuse new work on
+           them (the job node answers ``503`` + ``Retry-After``, code
+           ``draining``).
+        2. Finish in-flight work: wait -- up to ``timeout`` seconds -- until
+           :meth:`_in_flight` reports nothing.  Nothing is cancelled inside
+           the budget, so clients already being served get their results.
+        3. Flush (:meth:`_flush`): checkpoint the store, so an immediate
+           ``SIGKILL`` after a clean drain loses nothing.
+
+        A False return means the budget elapsed with work still in flight
+        (``stop()`` will then cancel it); the flush runs either way.
+        """
+        if self._draining:
+            return not any(self._in_flight().values())
+        self._draining = True
+        self.stats.drains_started += 1
+        _log.info("drain started", extra={"timeout_seconds": timeout})
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        deadline = time.monotonic() + timeout
+        while any(self._in_flight().values()):
+            if time.monotonic() >= deadline:
+                break
+            await asyncio.sleep(0.05)
+        clean = not any(self._in_flight().values())
+        try:
+            self._flush()
+        except Exception as exc:  # noqa: BLE001 - drain must still complete
+            _log.error(
+                "store checkpoint failed during drain",
+                extra={"error": f"{type(exc).__name__}: {exc}"},
+            )
+        _log.info("drain finished", extra={"clean": clean, **self._in_flight()})
+        return clean
+
+    def _in_flight(self) -> Dict[str, int]:
+        """What a drain waits for, by kind; the drain ends when all are 0."""
+        return {}
+
+    def _flush(self) -> None:
+        """What a drain flushes once its wait is over."""
+
+    async def stop(self) -> None:
+        """Close the listener and every open connection."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        # Open keep-alive connections are parked in _read_request waiting
+        # for a next request that will never come; cancel them so shutdown
+        # does not leak pending tasks.
+        for task in list(self._conn_tasks):
+            task.cancel()
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+
+    async def _handle_client(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self.stats.connections_total += 1
+        if self._open_connections >= self._max_connections:
+            self.stats.connections_refused += 1
+            try:
+                await self._send_json(
+                    writer,
+                    503,
+                    error_envelope(
+                        "too-many-connections",
+                        f"connection cap of {self._max_connections} reached",
+                    ),
+                    headers={"Retry-After": str(self._retry_after)},
+                    keep_alive=False,
+                )
+            except ConnectionError:
+                pass
+            finally:
+                await self._close_writer(writer)
+            return
+        self._open_connections += 1
+        try:
+            await self._serve_connection(reader, writer)
+        except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
+            pass
+        except Exception as exc:  # noqa: BLE001 - a request must not kill the server
+            try:
+                await self._send_json(
+                    writer,
+                    500,
+                    error_envelope("internal", f"{type(exc).__name__}: {exc}"),
+                    keep_alive=False,
+                )
+            except ConnectionError:
+                pass
+        finally:
+            self._open_connections -= 1
+            await self._close_writer(writer)
+
+    @staticmethod
+    async def _close_writer(writer: asyncio.StreamWriter) -> None:
+        try:
+            writer.close()
+            await writer.wait_closed()
+        except ConnectionError:
+            pass
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """The keep-alive loop: serve pipelined requests until close/idle."""
+        served = 0
+        while served < MAX_REQUESTS_PER_CONNECTION:
+            try:
+                request = await self._read_request(reader, writer)
+            except asyncio.TimeoutError:
+                # Idle keep-alive connection or a stalled (slowloris) read;
+                # either way the connection is done.
+                return
+            except ApiError as error:
+                # The request never parsed (bad request line, bad
+                # Content-Length, oversized body): answer and close, since
+                # the unread stream cannot be resynchronized.
+                self.stats.rejected += 1
+                await self._send_json(
+                    writer,
+                    error.status,
+                    error_envelope(error.code, error.message, error.detail),
+                    headers=error.headers,
+                    keep_alive=False,
+                )
+                return
+            if request is None:
+                return
+            served += 1
+            # The response that uses up the connection's request budget says
+            # so (RFC 9112 section 9.6), so the client sends no request the
+            # server would never read.
+            last = served >= MAX_REQUESTS_PER_CONNECTION
+            if not await self._handle_one(request, writer, last):
+                return
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Request]:
+        # The wait for the *next* request line is bounded by the idle
+        # budget; once a request has started, completing its header block
+        # and body is bounded by the (shorter) read budget.
+        request_line = await asyncio.wait_for(reader.readline(), timeout=self._idle_timeout)
+        if not request_line:
+            return None
+        return await asyncio.wait_for(
+            self._read_request_rest(request_line, reader, writer), timeout=self._read_timeout
+        )
+
+    async def _read_request_rest(
+        self, request_line: bytes, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Request:
+        parts = request_line.decode("latin-1").strip().split()
+        if len(parts) != 3:
+            raise ApiError(400, "bad-request", "malformed HTTP request line", close=True)
+        method, target, version = parts
+        headers: Dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise ApiError(
+                400, "bad-request", f"bad Content-Length {raw_length!r}", close=True
+            ) from None
+        if length < 0:
+            raise ApiError(400, "bad-request", f"bad Content-Length {raw_length!r}", close=True)
+        if length > MAX_BODY_BYTES:
+            # The unread body would desynchronize the connection, so close.
+            raise ApiError(
+                413, "payload-too-large", f"body exceeds {MAX_BODY_BYTES} bytes", close=True
+            )
+        if headers.get("expect", "").lower() == "100-continue":
+            # curl sends this for bodies over ~1KB (every real batch spec)
+            # and waits up to a second for the interim response.
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await writer.drain()
+        body = await reader.readexactly(length) if length else b""
+        path, _, query = target.partition("?")
+        return Request(
+            method=method, path=path, query=query, headers=headers, body=body, version=version
+        )
+
+    async def _handle_one(
+        self, request: Request, writer: asyncio.StreamWriter, last: bool = False
+    ) -> bool:
+        """Dispatch one request; returns whether to keep the connection.
+
+        ``last`` marks the connection's final request, whose response
+        closes it.
+        """
+        keep_alive = request.wants_keep_alive() and not last
+        started = time.perf_counter()
+        label = "unrouted"
+        status: Optional[int] = None
+        request_id = uuid.uuid4().hex[:12]
+        with telemetry.log_context(request_id=request_id):
+            try:
+                rest = self._strip_version(request.path)
+                label, handler = self._route(request, rest)
+                self._check_auth(request, rest)
+                stream_open = await handler(request, writer, keep_alive)
+                if stream_open is False:
+                    keep_alive = False
+            except ApiError as error:
+                # 404/405 are routine probe answers (cache-miss lookups, evicted
+                # batches); "rejected" counts requests the server refused to parse.
+                status = error.status
+                if error.status not in (404, 405):
+                    self.stats.rejected += 1
+                if error.close:
+                    keep_alive = False
+                if label == "unrouted":
+                    label = "error"
+                await self._send_json(
+                    writer,
+                    error.status,
+                    error_envelope(error.code, error.message, error.detail),
+                    headers=error.headers,
+                    keep_alive=keep_alive,
+                )
+            finally:
+                elapsed = time.perf_counter() - started
+                self.latency.observe(label, elapsed)
+                # Per-request access line; ``status`` is only known on the
+                # error path (success handlers write their own codes).
+                fields: Dict[str, Any] = {
+                    "endpoint": label,
+                    "method": request.method,
+                    "path": request.path,
+                    "ms": round(1000.0 * elapsed, 3),
+                }
+                if status is not None:
+                    fields["status"] = status
+                _log.info("request", extra=fields)
+        return keep_alive
+
+    @staticmethod
+    def _strip_version(path: str) -> str:
+        """The path below ``/v1``; any other path is a 404 naming its successor.
+
+        Unknown version prefixes (``/v2/...``) answer ``unknown-version``;
+        unversioned paths -- the aliases removed in 2.0 -- ``not-found``.
+        """
+        if path == f"/{API_VERSION}" or path.startswith(f"/{API_VERSION}/"):
+            return path[len(API_VERSION) + 1 :] or "/"
+        match = re.match(r"^/(v\d+)(?:/|$)", path)
+        if match is not None:
+            raise ApiError(
+                404,
+                "unknown-version",
+                f"unknown API version {match.group(1)!r}",
+                detail=f"this server speaks /{API_VERSION} only; "
+                f"try /{API_VERSION}{path[len(match.group(1)) + 1 :]}",
+            )
+        raise ApiError(
+            404,
+            "not-found",
+            f"unknown path {path}",
+            detail=f"endpoints live under /{API_VERSION}; try /{API_VERSION}{path}",
+        )
+
+    def _route(self, request: Request, rest: str):
+        """Resolve ``(endpoint label, handler)`` for a version-stripped path.
+
+        The handler is awaited as ``handler(request, writer, keep_alive)``
+        and writes the response; it returns False to close the connection.
+        Unknown paths and methods raise :class:`ApiError` (404/405).
+        """
+        raise NotImplementedError
+
+    def _check_auth(self, request: Request, rest: str) -> None:
+        """Enforce the shared-secret token, when one is configured.
+
+        ``/v1/healthz`` stays open so liveness probes need no secret, and
+        ``GET /v1/`` discovery stays open because it is API documentation,
+        not data.  Missing credentials are 401; present but wrong
+        credentials are 403.  Comparison is constant-time.
+        """
+        if self._auth_token is None or rest in ("/healthz", "/"):
+            return
+        supplied: Optional[str] = None
+        authorization = request.headers.get("authorization")
+        if authorization is not None:
+            scheme, _, value = authorization.partition(" ")
+            if scheme.lower() == "bearer" and value.strip():
+                supplied = value.strip()
+        if supplied is None:
+            supplied = request.headers.get("x-auth-token")
+        if supplied is None:
+            self.stats.auth_rejected += 1
+            raise ApiError(
+                401,
+                "auth-required",
+                "this server requires an auth token",
+                detail="send 'Authorization: Bearer <token>' or 'X-Auth-Token: <token>'",
+                headers={"WWW-Authenticate": 'Bearer realm="repro"'},
+            )
+        if not hmac.compare_digest(supplied.encode("utf-8"), self._auth_token.encode("utf-8")):
+            self.stats.auth_rejected += 1
+            raise ApiError(403, "auth-invalid", "the supplied auth token does not match")
+
+    async def _send_raw(
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: Optional[Dict[str, str]] = None,
+        keep_alive: bool = True,
+    ) -> None:
+        head = (
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        )
+        for name, value in (headers or {}).items():
+            head += f"{name}: {value}\r\n"
+        writer.write(head.encode("latin-1") + b"\r\n" + body)
+        await writer.drain()
+
+    async def _send_json(
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: Any,
+        headers: Optional[Dict[str, str]] = None,
+        keep_alive: bool = True,
+    ) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        await self._send_raw(
+            writer,
+            status,
+            body,
+            content_type="application/json",
+            headers=headers,
+            keep_alive=keep_alive,
+        )
+
+
 class BatchRecord:
     """Progress state of one submitted batch: events, waiters, final report."""
 
@@ -434,8 +892,8 @@ class BatchRecord:
             await self.wait_change()
 
 
-class VerificationService:
-    """The service core: dedup, store, executor bridge, HTTP handling.
+class VerificationService(HTTPService):
+    """The job node: dedup, store, executor bridge and the job routes.
 
     Parameters
     ----------
@@ -453,22 +911,13 @@ class VerificationService:
         Per-job wall-clock budget, enforced inside pool workers (Unix only,
         and only when ``workers > 1`` -- single-worker execution runs on an
         executor thread where ``SIGALRM`` cannot fire).
-    auth_token:
-        Optional shared secret.  When set, every endpoint except
-        ``/v1/healthz`` requires ``Authorization: Bearer <token>`` or
-        ``X-Auth-Token: <token>``; comparison is constant-time.
+    auth_token / max_connections / idle_timeout / read_timeout / retry_after:
+        The transport's settings (see :class:`HTTPService`).
     max_pending:
         Admission-gate size for work-bearing requests (``POST /v1/jobs``).
         Requests beyond it are shed with ``429`` + ``Retry-After``.
         ``None`` disables shedding; ``0`` sheds everything (a drain mode
         the CI smoke job uses for a deterministic 429 assertion).
-    max_connections:
-        Open-connection cap; over-cap connects get ``503`` and are closed.
-    idle_timeout / read_timeout:
-        Keep-alive idle budget between requests / read budget within one
-        request (see the module constants for the defaults).
-    retry_after:
-        Integer seconds advertised in ``Retry-After`` on 429/503 responses.
     retry_policy:
         :class:`~repro.service.runner.RetryPolicy` for transient job
         failures (worker crashes, deadline kills, timeouts); the default
@@ -499,6 +948,8 @@ class VerificationService:
     #: subclass overrides it.
     role = "single"
 
+    counters = SERVICE_COUNTERS
+
     def __init__(
         self,
         store: Optional[ResultStore] = None,
@@ -519,8 +970,13 @@ class VerificationService:
     ) -> None:
         if max_pending is not None and max_pending < 0:
             raise ValueError("max_pending must be >= 0 (or None to disable shedding)")
-        if max_connections < 1:
-            raise ValueError("max_connections must be >= 1")
+        super().__init__(
+            auth_token=auth_token,
+            max_connections=max_connections,
+            idle_timeout=idle_timeout,
+            read_timeout=read_timeout,
+            retry_after=retry_after,
+        )
         self._store = store
         self._workers = workers
         if cluster_dedup is None:
@@ -542,27 +998,15 @@ class VerificationService:
         self._executor = ThreadPoolExecutor(
             max_workers=max(4, workers), thread_name_prefix="repro-serve"
         )
-        self._auth_token = auth_token
         self._max_pending = max_pending
-        self._max_connections = max_connections
-        self._idle_timeout = idle_timeout
-        self._read_timeout = read_timeout
-        self._retry_after = retry_after
         self._execute_delay = execute_delay
         self._pending = 0
-        self._open_connections = 0
         self._executing_jobs = 0
-        self._draining = False
         self._inflight: Dict[str, asyncio.Future] = {}
         self._batches: "OrderedDict[str, BatchRecord]" = OrderedDict()
         self._batch_tasks: set = set()
-        self._conn_tasks: set = set()
-        self.registry = telemetry.MetricsRegistry()
-        self.stats = ServiceStats(self.registry)
-        self.latency = LatencyTracker(self.registry)
         self.engine_rollup = telemetry.EngineRollup()
         self._register_telemetry()
-        self._server: Optional[asyncio.AbstractServer] = None
 
     def _register_telemetry(self) -> None:
         """Wire every non-counter metric family into the registry.
@@ -1199,312 +1643,26 @@ class VerificationService:
     def _release(self) -> None:
         self._pending -= 1
 
-    # -- HTTP layer --------------------------------------------------------------
+    # -- the transport's hooks ---------------------------------------------------
 
-    async def start(self, host: str = "127.0.0.1", port: int = 8080) -> Tuple[str, int]:
-        """Bind and start serving; returns the (host, port) actually bound."""
-        self._server = await asyncio.start_server(self._accept, host, port)
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+    def _in_flight(self) -> Dict[str, int]:
+        return {
+            "batches_in_flight": len(self._batch_tasks),
+            "jobs_in_flight": len(self._inflight),
+            "requests_pending": self._pending,
+        }
 
-    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        # A plain callback, not a coroutine: asyncio would run a coroutine in
-        # a task of its own whose done-callback, on Python 3.11, logs a
-        # CancelledError traceback for every connection stop() cancels.  The
-        # service owns each connection's task instead, and stop() collects it.
-        task = asyncio.get_running_loop().create_task(self._handle_client(reader, writer))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "start() must be called first"
-        await self._server.serve_forever()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    async def drain(self, timeout: float = 30.0) -> bool:
-        """Gracefully wind the service down; returns True on a clean drain.
-
-        Drain mode (entered at most once; re-entry just reports the state):
-
-        1. Stop accepting: the listening socket closes, and work-bearing
-           requests on surviving keep-alive connections are refused with
-           ``503`` + ``Retry-After`` (code ``draining``).
-        2. Finish in-flight work: wait -- up to ``timeout`` seconds -- for
-           running batches, in-flight fingerprints and admitted requests to
-           complete.  Nothing is cancelled inside the budget, so clients
-           already being served get their results.
-        3. Checkpoint the store: buffered WAL pages are flushed to the main
-           database so an immediate ``SIGKILL`` after a clean drain loses
-           nothing.
-
-        A False return means the budget elapsed with work still in flight
-        (``stop()`` will then cancel it); the store is checkpointed either
-        way.
-        """
-        if self._draining:
-            return not (self._batch_tasks or self._inflight or self._pending)
-        self._draining = True
-        self.stats.drains_started += 1
-        _log.info("drain started", extra={"timeout_seconds": timeout})
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        deadline = time.monotonic() + timeout
-        while self._batch_tasks or self._inflight or self._pending:
-            if time.monotonic() >= deadline:
-                break
-            await asyncio.sleep(0.05)
-        clean = not (self._batch_tasks or self._inflight or self._pending)
+    def _flush(self) -> None:
         if self._store is not None:
-            try:
-                self._store.checkpoint()
-            except Exception as exc:  # noqa: BLE001 - drain must still complete
-                _log.error(
-                    "store checkpoint failed during drain",
-                    extra={"error": f"{type(exc).__name__}: {exc}"},
-                )
-        _log.info(
-            "drain finished",
-            extra={
-                "clean": clean,
-                "batches_in_flight": len(self._batch_tasks),
-                "jobs_in_flight": len(self._inflight),
-            },
-        )
-        return clean
+            self._store.checkpoint()
 
     async def stop(self) -> None:
         """Close the listener and every connection, then the worker pool."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Open keep-alive connections are parked in _read_request waiting
-        # for a next request that will never come; cancel them so shutdown
-        # does not leak pending tasks.
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await super().stop()
         self._executor.shutdown(wait=False, cancel_futures=True)
         # After the executor: a batch still running on one of its threads
         # fails fast on the closed pool instead of starting a new one.
         self._runner.close()
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats.connections_total += 1
-        if self._open_connections >= self._max_connections:
-            self.stats.connections_refused += 1
-            try:
-                await self._send_json(
-                    writer,
-                    503,
-                    error_envelope(
-                        "too-many-connections",
-                        f"connection cap of {self._max_connections} reached",
-                    ),
-                    headers={"Retry-After": str(self._retry_after)},
-                    keep_alive=False,
-                )
-            except ConnectionError:
-                pass
-            finally:
-                await self._close_writer(writer)
-            return
-        self._open_connections += 1
-        try:
-            await self._serve_connection(reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
-            pass
-        except Exception as exc:  # noqa: BLE001 - a request must not kill the server
-            try:
-                await self._send_json(
-                    writer,
-                    500,
-                    error_envelope("internal", f"{type(exc).__name__}: {exc}"),
-                    keep_alive=False,
-                )
-            except ConnectionError:
-                pass
-        finally:
-            self._open_connections -= 1
-            await self._close_writer(writer)
-
-    @staticmethod
-    async def _close_writer(writer: asyncio.StreamWriter) -> None:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except ConnectionError:
-            pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """The keep-alive loop: serve pipelined requests until close/idle."""
-        served = 0
-        while served < MAX_REQUESTS_PER_CONNECTION:
-            try:
-                request = await self._read_request(reader, writer)
-            except asyncio.TimeoutError:
-                # Idle keep-alive connection or a stalled (slowloris) read;
-                # either way the connection is done.
-                return
-            except ApiError as error:
-                # The request never parsed (bad request line, bad
-                # Content-Length, oversized body): answer and close, since
-                # the unread stream cannot be resynchronized.
-                self.stats.rejected += 1
-                await self._send_json(
-                    writer,
-                    error.status,
-                    error_envelope(error.code, error.message, error.detail),
-                    headers=error.headers,
-                    keep_alive=False,
-                )
-                return
-            if request is None:
-                return
-            served += 1
-            if not await self._handle_one(request, writer):
-                return
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Optional[Request]:
-        # The wait for the *next* request line is bounded by the idle
-        # budget; once a request has started, completing its header block
-        # and body is bounded by the (shorter) read budget.
-        request_line = await asyncio.wait_for(reader.readline(), timeout=self._idle_timeout)
-        if not request_line:
-            return None
-        return await asyncio.wait_for(
-            self._read_request_rest(request_line, reader, writer), timeout=self._read_timeout
-        )
-
-    async def _read_request_rest(
-        self, request_line: bytes, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Request:
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise ApiError(400, "bad-request", "malformed HTTP request line", close=True)
-        method, target, version = parts
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise ApiError(
-                400, "bad-request", f"bad Content-Length {raw_length!r}", close=True
-            ) from None
-        if length < 0:
-            raise ApiError(400, "bad-request", f"bad Content-Length {raw_length!r}", close=True)
-        if length > MAX_BODY_BYTES:
-            # The unread body would desynchronize the connection, so close.
-            raise ApiError(
-                413, "payload-too-large", f"body exceeds {MAX_BODY_BYTES} bytes", close=True
-            )
-        if headers.get("expect", "").lower() == "100-continue":
-            # curl sends this for bodies over ~1KB (every real batch spec)
-            # and waits up to a second for the interim response.
-            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-            await writer.drain()
-        body = await reader.readexactly(length) if length else b""
-        path, _, query = target.partition("?")
-        return Request(
-            method=method, path=path, query=query, headers=headers, body=body, version=version
-        )
-
-    async def _handle_one(self, request: Request, writer: asyncio.StreamWriter) -> bool:
-        """Dispatch one request; returns whether to keep the connection."""
-        keep_alive = request.wants_keep_alive()
-        started = time.perf_counter()
-        label = "unrouted"
-        status: Optional[int] = None
-        request_id = uuid.uuid4().hex[:12]
-        with telemetry.log_context(request_id=request_id):
-            try:
-                version_rest = self._strip_version(request.path)
-                deprecated = version_rest is None
-                rest = request.path if deprecated else version_rest
-                extra = self._deprecation_headers(request.path) if deprecated else {}
-                label, handler = self._route(request, rest)
-                self._check_auth(request, rest)
-                stream_open = await handler(request, writer, extra, keep_alive)
-                if stream_open is False:
-                    keep_alive = False
-            except ApiError as error:
-                # 404/405 are routine probe answers (cache-miss lookups, evicted
-                # batches); "rejected" counts requests the server refused to parse.
-                status = error.status
-                if error.status not in (404, 405):
-                    self.stats.rejected += 1
-                if error.close:
-                    keep_alive = False
-                headers = dict(error.headers)
-                if label == "unrouted":
-                    label = "error"
-                await self._send_json(
-                    writer,
-                    error.status,
-                    error_envelope(error.code, error.message, error.detail),
-                    headers=headers,
-                    keep_alive=keep_alive,
-                )
-            finally:
-                elapsed = time.perf_counter() - started
-                self.latency.observe(label, elapsed)
-                # Per-request access line; ``status`` is only known on the
-                # error path (success handlers write their own codes).
-                fields: Dict[str, Any] = {
-                    "endpoint": label,
-                    "method": request.method,
-                    "path": request.path,
-                    "ms": round(1000.0 * elapsed, 3),
-                }
-                if status is not None:
-                    fields["status"] = status
-                _log.info("request", extra=fields)
-        return keep_alive
-
-    @staticmethod
-    def _strip_version(path: str) -> Optional[str]:
-        """The path below ``/v1``, or None for a legacy (unversioned) path.
-
-        Unknown version prefixes fail here with a 404 + hint rather than
-        falling through to the legacy aliases.
-        """
-        if path == f"/{API_VERSION}" or path.startswith(f"/{API_VERSION}/"):
-            return path[len(API_VERSION) + 1 :] or "/"
-        match = re.match(r"^/(v\d+)(?:/|$)", path)
-        if match is not None:
-            raise ApiError(
-                404,
-                "unknown-version",
-                f"unknown API version {match.group(1)!r}",
-                detail=f"this server speaks /{API_VERSION} only; "
-                f"try /{API_VERSION}{path[len(match.group(1)) + 1 :]}",
-            )
-        return None
-
-    @staticmethod
-    def _deprecation_headers(path: str) -> Dict[str, str]:
-        return {
-            "Deprecation": "true",
-            "Link": f'</{API_VERSION}{path}>; rel="successor-version"',
-        }
 
     def _route(self, request: Request, rest: str):
         """Resolve ``(label, handler)`` for a version-stripped path."""
@@ -1548,38 +1706,6 @@ class VerificationService:
             )
         raise ApiError(405, "method-not-allowed", f"{method} not supported on {request.path}")
 
-    def _check_auth(self, request: Request, rest: str) -> None:
-        """Enforce the shared-secret token, when one is configured.
-
-        ``/v1/healthz`` (and its legacy alias) stays open so liveness
-        probes need no secret, and ``GET /v1/`` discovery stays open
-        because it is API documentation, not data.  Missing credentials
-        are 401; present but wrong credentials are 403.  Comparison is
-        constant-time.
-        """
-        if self._auth_token is None or rest in ("/healthz", "/"):
-            return
-        supplied: Optional[str] = None
-        authorization = request.headers.get("authorization")
-        if authorization is not None:
-            scheme, _, value = authorization.partition(" ")
-            if scheme.lower() == "bearer" and value.strip():
-                supplied = value.strip()
-        if supplied is None:
-            supplied = request.headers.get("x-auth-token")
-        if supplied is None:
-            self.stats.auth_rejected += 1
-            raise ApiError(
-                401,
-                "auth-required",
-                "this server requires an auth token",
-                detail="send 'Authorization: Bearer <token>' or 'X-Auth-Token: <token>'",
-                headers={"WWW-Authenticate": 'Bearer realm="repro"'},
-            )
-        if not hmac.compare_digest(supplied.encode("utf-8"), self._auth_token.encode("utf-8")):
-            self.stats.auth_rejected += 1
-            raise ApiError(403, "auth-invalid", "the supplied auth token does not match")
-
     # -- endpoint handlers -------------------------------------------------------
 
     def _discovery_document(self) -> Dict[str, Any]:
@@ -1609,14 +1735,12 @@ class VerificationService:
         }
 
     async def _handle_discovery(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
-        await self._send_json(
-            writer, 200, self._discovery_document(), headers=extra, keep_alive=keep
-        )
+        await self._send_json(writer, 200, self._discovery_document(), keep_alive=keep)
 
     async def _handle_healthz(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
         from repro import __version__  # deferred: repro imports this package
 
@@ -1633,7 +1757,6 @@ class VerificationService:
                 "inflight": len(self._inflight),
                 "auth": self._auth_token is not None,
             },
-            headers=extra,
             keep_alive=keep,
         )
 
@@ -1670,12 +1793,12 @@ class VerificationService:
         }
 
     async def _handle_stats(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
-        await self._send_json(writer, 200, self._stats_payload(), headers=extra, keep_alive=keep)
+        await self._send_json(writer, 200, self._stats_payload(), keep_alive=keep)
 
     async def _handle_metrics(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
         body = self._render_metrics().encode("utf-8")
         await self._send_raw(
@@ -1683,7 +1806,6 @@ class VerificationService:
             200,
             body,
             content_type="text/plain; version=0.0.4; charset=utf-8",
-            headers=extra,
             keep_alive=keep,
         )
 
@@ -1704,7 +1826,7 @@ class VerificationService:
             raise ApiError(400, "invalid-json", f"request body is not valid JSON: {exc}") from exc
 
     async def _handle_jobs(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
         self._admit()
         release = True
@@ -1725,7 +1847,7 @@ class VerificationService:
                 self._batch_tasks.add(task)
                 task.add_done_callback(self._reap_batch_task)
                 if wait:
-                    await self._send_json(writer, 200, await task, headers=extra, keep_alive=keep)
+                    await self._send_json(writer, 200, await task, keep_alive=keep)
                 else:
                     # The detached batch keeps its admission slot until it
                     # completes, so queue depth reflects background work too.
@@ -1741,7 +1863,6 @@ class VerificationService:
                             "status_url": f"/{API_VERSION}/batch/{record.batch_id}",
                             "events_url": f"/{API_VERSION}/batch/{record.batch_id}/events",
                         },
-                        headers=extra,
                         keep_alive=keep,
                     )
             elif isinstance(payload, Mapping):
@@ -1756,7 +1877,6 @@ class VerificationService:
                         "fingerprint": result.fingerprint,
                         "result": result.as_dict(),
                     },
-                    headers=extra,
                     keep_alive=keep,
                 )
             else:
@@ -1776,9 +1896,9 @@ class VerificationService:
             _log.error("batch task failed", extra={"error": f"{type(exc).__name__}: {exc}"})
 
     async def _handle_job_lookup(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
-        rest = self._strip_version(request.path) or request.path
+        rest = self._strip_version(request.path)
         fingerprint = rest[len("/jobs/") :]
         cached = self._store.get(fingerprint) if self._store is not None else None
         if cached is None:
@@ -1792,12 +1912,11 @@ class VerificationService:
             writer,
             200,
             {"served_from": "store", "fingerprint": fingerprint, "result": cached.as_dict()},
-            headers=extra,
             keep_alive=keep,
         )
 
     async def _handle_job_trace(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
         """Serve the recorded solver trace of a stored verdict.
 
@@ -1805,7 +1924,7 @@ class VerificationService:
         payload is the stored :meth:`TraceRecorder.as_dict` form (seconds),
         which ``repro trace`` converts to Chrome trace-event JSON.
         """
-        rest = self._strip_version(request.path) or request.path
+        rest = self._strip_version(request.path)
         fingerprint = rest[len("/jobs/") : -len("/trace")].rstrip("/")
         cached = self._store.get(fingerprint) if self._store is not None else None
         if cached is None:
@@ -1826,16 +1945,15 @@ class VerificationService:
             writer,
             200,
             {"fingerprint": fingerprint, "trace": cached.trace},
-            headers=extra,
             keep_alive=keep,
         )
 
     def _witness_of(self, request: Request) -> str:
-        rest = self._strip_version(request.path) or request.path
+        rest = self._strip_version(request.path)
         return rest[len("/jobs/") : -len("/witness")].rstrip("/")
 
     async def _handle_job_witness(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
         """Serve the stored witness certificate of a nonempty verdict.
 
@@ -1873,7 +1991,6 @@ class VerificationService:
                 "nonempty": cached.nonempty,
                 "certificate": cached.certificate,
             },
-            headers=extra,
             keep_alive=keep,
         )
 
@@ -1884,14 +2001,14 @@ class VerificationService:
         return record
 
     def _batch_id_of(self, request: Request, suffix: str = "") -> str:
-        rest = self._strip_version(request.path) or request.path
+        rest = self._strip_version(request.path)
         batch_id = rest[len("/batch/") :]
         if suffix and batch_id.endswith(suffix):
             batch_id = batch_id[: -len(suffix)].rstrip("/")
         return batch_id
 
     async def _handle_batch_status(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> None:
         record = self._get_record(self._batch_id_of(request))
         payload: Dict[str, Any] = {
@@ -1902,10 +2019,10 @@ class VerificationService:
         }
         if record.report is not None:
             payload["report"] = record.report
-        await self._send_json(writer, 200, payload, headers=extra, keep_alive=keep)
+        await self._send_json(writer, 200, payload, keep_alive=keep)
 
     async def _handle_batch_events(
-        self, request: Request, writer: asyncio.StreamWriter, extra: Dict[str, str], keep: bool
+        self, request: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> bool:
         """Stream a batch's progress as NDJSON: replay, then follow live.
 
@@ -1919,8 +2036,6 @@ class VerificationService:
             "Cache-Control: no-store\r\n"
             "Connection: close\r\n"
         )
-        for name, value in extra.items():
-            head += f"{name}: {value}\r\n"
         writer.write(head.encode("latin-1") + b"\r\n")
         index = 0
         while True:
@@ -1938,46 +2053,6 @@ class VerificationService:
                 break
             await record.wait_change()
         return False
-
-    # -- response writers --------------------------------------------------------
-
-    async def _send_raw(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: bytes,
-        content_type: str,
-        headers: Optional[Dict[str, str]] = None,
-        keep_alive: bool = True,
-    ) -> None:
-        head = (
-            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-        )
-        for name, value in (headers or {}).items():
-            head += f"{name}: {value}\r\n"
-        writer.write(head.encode("latin-1") + b"\r\n" + body)
-        await writer.drain()
-
-    async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Any,
-        headers: Optional[Dict[str, str]] = None,
-        keep_alive: bool = True,
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        await self._send_raw(
-            writer,
-            status,
-            body,
-            content_type="application/json",
-            headers=headers,
-            keep_alive=keep_alive,
-        )
 
 
 # -- entry points ----------------------------------------------------------------
@@ -1998,14 +2073,15 @@ def run_server(
     execute_delay: float = 0.0,
     log_level: Optional[str] = None,
     log_json: bool = False,
-    service: Optional[VerificationService] = None,
+    service: Optional[HTTPService] = None,
 ) -> int:
     """Run the service until interrupted (the ``repro serve`` entry point).
 
     ``service`` injects a pre-built service instance -- how the CLI runs a
-    :class:`~repro.service.coordinator.CoordinatorService` under the same
-    signal handling, drain sequence and port-file plumbing; the other
-    service-construction parameters are then ignored.
+    :class:`~repro.service.coordinator.CoordinatorService` or a
+    :class:`~repro.service.keyspace.KeyspaceService` (``repro store serve``)
+    under the same signal handling, drain sequence and port-file plumbing;
+    the other service-construction parameters are then ignored.
 
     With ``port=0`` the OS picks a free port; the bound port is printed and,
     when ``port_file`` is given, written there so scripts (the CI smoke job)
@@ -2064,10 +2140,9 @@ def run_server(
 
         bound_host, bound_port = await service.start(host, port)
         print(
-            f"repro serve: listening on http://{bound_host}:{bound_port} "
-            f"(api /{API_VERSION}, auth {'on' if auth_token else 'off'}, "
-            f"max_pending {max_pending}, max_connections {max_connections}, "
-            f"drain_timeout {drain_timeout}s)",
+            f"repro serve: {service.role} listening on http://{bound_host}:{bound_port} "
+            f"(api /{API_VERSION}, auth {'on' if service._auth_token else 'off'}, "
+            f"max_connections {service._max_connections}, drain_timeout {drain_timeout}s)",
             flush=True,
         )
         if port_file is not None:
@@ -2099,13 +2174,16 @@ def run_server(
 class ServerThread:
     """A server on a dedicated event-loop thread, for tests and embedding.
 
-    ``start()`` blocks until the port is bound; ``stop()`` shuts the loop
-    down and joins the thread.  Usable as a context manager.
+    ``service`` is any node kind (job node, coordinator or keyspace);
+    without one, a :class:`VerificationService` is built from
+    ``service_kwargs``.  ``start()`` blocks until the port is bound;
+    ``stop()`` shuts the loop down and joins the thread.  Usable as a
+    context manager.
     """
 
     def __init__(
         self,
-        service: Optional[VerificationService] = None,
+        service: Optional[HTTPService] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         **service_kwargs: Any,

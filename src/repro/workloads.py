@@ -408,46 +408,6 @@ _HEAVY_BUILDERS = (
 )
 
 
-# -- HTTP client helpers (moved to repro.service.client) -------------------------
-#
-# These lived here before the client module existed.  The shims below keep
-# old imports working for one more release while steering callers to
-# `ServiceClient` (or `repro.service.client` for the bare helpers); they
-# will be removed in 2.0.
-
-
-def jobs_to_wire(jobs, wait=True, include_fingerprints=True):
-    """Deprecated re-export; use :func:`repro.service.client.jobs_to_wire`."""
-    import warnings
-
-    warnings.warn(
-        "repro.workloads.jobs_to_wire is deprecated; import it from "
-        "repro.service.client (or use ServiceClient.submit_batch)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.service.client import jobs_to_wire as _jobs_to_wire
-
-    return _jobs_to_wire(jobs, wait=wait, include_fingerprints=include_fingerprints)
-
-
-def post_jobs(base_url, jobs, wait=True, include_fingerprints=True, **kwargs):
-    """Deprecated re-export; use :class:`repro.service.client.ServiceClient`."""
-    import warnings
-
-    warnings.warn(
-        "repro.workloads.post_jobs is deprecated; use "
-        "repro.service.client.ServiceClient.submit_batch",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.service.client import post_jobs as _post_jobs
-
-    return _post_jobs(
-        base_url, jobs, wait=wait, include_fingerprints=include_fingerprints, **kwargs
-    )
-
-
 # -- public API ----------------------------------------------------------------
 
 

@@ -25,7 +25,8 @@ from repro.service.backends import (
     backend_from_url,
 )
 from repro.service.client import HTTPBackend
-from repro.service.keyspace import KeyspaceServerThread, KeyspaceService
+from repro.service.keyspace import KeyspaceService
+from repro.service.server import ServerThread
 
 KEY = "a" * 64
 OTHER = "b" * 64
@@ -57,7 +58,7 @@ def backend(request, tmp_path):
         yield handle
         handle.close()
     else:
-        with KeyspaceServerThread() as server:
+        with ServerThread(service=KeyspaceService("memory:")) as server:
             handle = HTTPBackend(server.base_url)
             yield handle
             handle.close()
@@ -199,7 +200,7 @@ class TestBackendContract:
 
 class TestHTTPBackendSpecifics:
     def test_server_side_ttl_hides_expired_rows(self):
-        with KeyspaceServerThread(ttl_seconds=0.2) as server:
+        with ServerThread(service=KeyspaceService("memory:", ttl_seconds=0.2)) as server:
             client = HTTPBackend(server.base_url)
             client.put(KEY, make_row(created_at=time.time()))
             assert client.get(KEY) is not None
@@ -209,7 +210,7 @@ class TestHTTPBackendSpecifics:
             client.close()
 
     def test_per_row_expires_at_enforced_on_read(self):
-        with KeyspaceServerThread() as server:
+        with ServerThread(service=KeyspaceService("memory:")) as server:
             client = HTTPBackend(server.base_url)
             client.put(KEY, make_row(expires_at=time.time() - 1.0))
             assert client.get(KEY) is None
@@ -218,7 +219,7 @@ class TestHTTPBackendSpecifics:
             client.close()
 
     def test_max_entries_evicts_oldest_on_write(self):
-        with KeyspaceServerThread(max_entries=2) as server:
+        with ServerThread(service=KeyspaceService("memory:", max_entries=2)) as server:
             client = HTTPBackend(server.base_url)
             old, mid, new = "c" * 64, "d" * 64, "e" * 64
             for key, stamp in ((old, 1.0), (mid, 2.0), (new, 3.0)):
@@ -229,7 +230,7 @@ class TestHTTPBackendSpecifics:
 
     def test_expired_claim_is_reclaimable_via_put_if_absent(self):
         """An If-Match: * PUT reaps a dead claim instead of refusing."""
-        with KeyspaceServerThread() as server:
+        with ServerThread(service=KeyspaceService("memory:")) as server:
             client = HTTPBackend(server.base_url)
             dead_claim = make_row(
                 cacheable=0, error_code="in-flight", expires_at=time.time() - 1.0
@@ -240,7 +241,7 @@ class TestHTTPBackendSpecifics:
             client.close()
 
     def test_auth_token_round_trip_and_rejection(self):
-        with KeyspaceServerThread(auth_token="sesame") as server:
+        with ServerThread(service=KeyspaceService("memory:", auth_token="sesame")) as server:
             trusted = HTTPBackend(server.base_url, token="sesame")
             trusted.put(KEY, make_row())
             assert trusted.get(KEY) is not None
@@ -253,7 +254,7 @@ class TestHTTPBackendSpecifics:
 
     def test_future_schema_refused_at_first_contact(self, monkeypatch):
         """A server speaking a newer row schema is refused, like SQLite files."""
-        with KeyspaceServerThread() as server:
+        with ServerThread(service=KeyspaceService("memory:")) as server:
             original = KeyspaceService.discovery_document
 
             def newer(self):
@@ -268,7 +269,7 @@ class TestHTTPBackendSpecifics:
             client.close()
 
     def test_backend_from_url_builds_http_backend(self):
-        with KeyspaceServerThread() as server:
+        with ServerThread(service=KeyspaceService("memory:")) as server:
             handle = backend_from_url(server.base_url)
             assert isinstance(handle, HTTPBackend)
             assert handle.name == server.base_url

@@ -11,7 +11,6 @@ import copy
 import dataclasses
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -195,20 +194,3 @@ class TestEngineIndependence:
             check=True,
             env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
         )
-
-
-class TestDeprecationShim:
-    def test_witness_database_property_warns_and_matches_run(self):
-        _, _, result = _triangle()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            database = result.witness_database
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert database == result.run.database
-
-    def test_witness_database_none_for_empty_result(self):
-        from repro.fraisse.engine import EmptinessResult
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert EmptinessResult(nonempty=False).witness_database is None

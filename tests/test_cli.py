@@ -19,7 +19,7 @@ class TestParser:
             ["check", "triangle"],
             ["info"],
             ["batch", "--count", "3"],
-            ["store", "stats", "--db", "x.sqlite"],
+            ["store", "stats", "--store", "x.sqlite"],
             ["bench", "--smoke"],
         ):
             args = parser.parse_args(argv)
@@ -115,7 +115,7 @@ class TestStore:
         db = str(tmp_path / "s.sqlite")
         self._populate(db)
         capsys.readouterr()
-        assert main(["store", "stats", "--db", db]) == 0
+        assert main(["store", "stats", "--store", db]) == 0
         out = capsys.readouterr().out
         assert "4 results" in out
 
@@ -123,26 +123,26 @@ class TestStore:
         db = str(tmp_path / "s.sqlite")
         self._populate(db)
         capsys.readouterr()
-        assert main(["store", "export", "--db", db]) == 0
+        assert main(["store", "export", "--store", db]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 4
         out_file = tmp_path / "dump.json"
-        assert main(["store", "export", "--db", db, "--output", str(out_file)]) == 0
+        assert main(["store", "export", "--store", db, "--output", str(out_file)]) == 0
         assert json.loads(out_file.read_text())["count"] == 4
 
     def test_clear(self, tmp_path, capsys):
         db = str(tmp_path / "s.sqlite")
         self._populate(db)
         capsys.readouterr()
-        assert main(["store", "clear", "--db", db]) == 0
+        assert main(["store", "clear", "--store", db]) == 0
         assert "removed 4 results" in capsys.readouterr().out
-        assert main(["store", "stats", "--db", db]) == 0
+        assert main(["store", "stats", "--store", db]) == 0
         assert "0 results" in capsys.readouterr().out
 
     def test_missing_db_is_a_clear_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.sqlite"
         for action in ("stats", "export", "clear"):
-            assert main(["store", action, "--db", str(missing)]) == 2
+            assert main(["store", action, "--store", str(missing)]) == 2
             assert "no result store" in capsys.readouterr().err
             # In particular `clear` must not have created an empty database.
             assert not missing.exists()
@@ -174,7 +174,7 @@ class TestTrace:
 
     def test_batch_trace_then_export_chrome_json(self, tmp_path, capsys):
         db, fingerprints = self._traced_store(tmp_path, capsys)
-        assert main(["trace", fingerprints[0], "--db", db]) == 0
+        assert main(["trace", fingerprints[0], "--store", db]) == 0
         exported = json.loads(capsys.readouterr().out)
         assert exported["displayTimeUnit"] == "ms"
         events = exported["traceEvents"]
@@ -184,16 +184,16 @@ class TestTrace:
     def test_trace_output_file_and_raw(self, tmp_path, capsys):
         db, fingerprints = self._traced_store(tmp_path, capsys)
         out_file = tmp_path / "trace.json"
-        assert main(["trace", fingerprints[0], "--db", db, "--output", str(out_file)]) == 0
+        assert main(["trace", fingerprints[0], "--store", db, "--output", str(out_file)]) == 0
         assert "wrote" in capsys.readouterr().out
         assert json.loads(out_file.read_text())["traceEvents"]
-        assert main(["trace", fingerprints[0], "--db", db, "--raw"]) == 0
+        assert main(["trace", fingerprints[0], "--store", db, "--raw"]) == 0
         raw = json.loads(capsys.readouterr().out)
         assert raw["unit"] == "seconds" and raw["spans"]
 
     def test_trace_error_paths(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.sqlite")
-        assert main(["trace", "0" * 64, "--db", missing]) == 2
+        assert main(["trace", "0" * 64, "--store", missing]) == 2
         assert "no result store" in capsys.readouterr().err
         # A store with verdicts but no traces: clear remediation hint.
         db = str(tmp_path / "plain.sqlite")
@@ -203,9 +203,9 @@ class TestTrace:
 
         with ResultStore(db) as store:
             fingerprint = store.export()["results"][0]["fingerprint"]
-        assert main(["trace", "0" * 64, "--db", db]) == 2
+        assert main(["trace", "0" * 64, "--store", db]) == 2
         assert "no stored verdict" in capsys.readouterr().err
-        assert main(["trace", fingerprint, "--db", db]) == 2
+        assert main(["trace", fingerprint, "--store", db]) == 2
         assert "--trace" in capsys.readouterr().err
 
 
@@ -220,22 +220,19 @@ class TestStoreUrls:
         assert main(["store", "stats", "--store", f"sqlite:{db}"]) == 0
         assert "2 results" in capsys.readouterr().out
 
-    def test_store_db_flag_is_deprecated_alias(self, tmp_path, capsys):
+    def test_db_flag_is_refused(self, tmp_path, capsys):
+        # --db was removed in 2.0; argparse refuses it on every command.
         db = str(tmp_path / "alias.sqlite")
-        assert main(["batch", "--count", "2", "--seed", "1", "--store", db]) == 0
-        capsys.readouterr()
-        assert main(["store", "stats", "--db", db]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "2 results" in captured.out
-        # --store wins when both are given, and stays silent.
-        assert main(["store", "stats", "--store", db, "--db", "ignored"]) == 0
-        assert "deprecated" not in capsys.readouterr().err
+        for argv in (["store", "stats", "--db", db], ["trace", "0" * 64, "--db", db]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --db" in capsys.readouterr().err
 
     def test_store_and_trace_against_remote_keyspace(self, capsys):
-        from repro.service import KeyspaceServerThread
+        from repro.service import KeyspaceService, ServerThread
 
-        with KeyspaceServerThread() as keyspace:
+        with ServerThread(service=KeyspaceService("memory:")) as keyspace:
             assert (
                 main(
                     [

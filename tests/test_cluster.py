@@ -19,7 +19,7 @@ import pytest
 from repro.faults import FAULTS_ENV_VAR
 from repro.service import (
     CoordinatorService,
-    KeyspaceServerThread,
+    KeyspaceService,
     ResultStore,
     RetryPolicy,
     ServerThread,
@@ -59,7 +59,7 @@ def dead_url():
 @contextlib.contextmanager
 def fleet(runner_count=2, runner_kwargs=None, extra_runner_urls=(), coordinator_store=True):
     """A keyspace server, ``runner_count`` runners sharing it, one coordinator."""
-    with KeyspaceServerThread() as keyspace:
+    with ServerThread(service=KeyspaceService("memory:")) as keyspace:
         with contextlib.ExitStack() as stack:
             runners = []
             for _ in range(runner_count):
@@ -212,7 +212,7 @@ class TestFleetDedup:
         """The ISSUE's headline: same batch to two nodes, one execution each."""
         jobs = generate_jobs(8, seed=5)
         expected = serial_verdicts(jobs)
-        with KeyspaceServerThread() as keyspace:
+        with ServerThread(service=KeyspaceService("memory:")) as keyspace:
             make = lambda: VerificationService(
                 store=ResultStore.from_url(keyspace.base_url), execute_delay=0.05
             )
@@ -246,7 +246,7 @@ class TestFleetDedup:
     def test_claim_takeover_after_owner_death(self):
         """A claim whose owner died (expired TTL) is taken over, not waited out."""
         jobs = generate_jobs(1, seed=3)
-        with KeyspaceServerThread() as keyspace:
+        with ServerThread(service=KeyspaceService("memory:")) as keyspace:
             dead_store = ResultStore.from_url(keyspace.base_url)
             assert dead_store.try_claim(jobs[0], owner="dead-node", ttl_seconds=0.05)
             time.sleep(0.1)
@@ -263,7 +263,7 @@ class TestFleetDedup:
     def test_store_claim_primitives_over_http(self):
         jobs = generate_jobs(2, seed=9)
         job = jobs[0]
-        with KeyspaceServerThread() as keyspace:
+        with ServerThread(service=KeyspaceService("memory:")) as keyspace:
             mine = ResultStore.from_url(keyspace.base_url)
             theirs = ResultStore.from_url(keyspace.base_url)
             assert mine.is_shared and theirs.is_shared

@@ -1,31 +1,46 @@
-"""Tests for the async HTTP front door (`repro serve`).
+"""Tests for the HTTP transport and the job node on it (`repro serve`).
 
 The server runs on a dedicated event-loop thread (`ServerThread`) and is
 driven over real sockets -- urllib for one-shots, raw sockets for the
 connection-layer tests, `ServiceClient` for keep-alive reuse -- so these
-tests cover the wire format end to end: the versioned `/v1` surface with
-its legacy aliases, store-first serving, in-flight fingerprint dedup,
-NDJSON batch progress, keep-alive/pipelining, auth, load-shedding, the
-Prometheus exposition, and every documented error path.
+tests cover the wire format end to end: the versioned `/v1` surface,
+store-first serving, in-flight fingerprint dedup, NDJSON batch progress,
+keep-alive/pipelining, auth, load-shedding, the Prometheus exposition, and
+every documented error path.
+
+The transport's own cases (the `*Cases` classes) run on every node kind:
+once on a job node through the `Test*` class that has always held them,
+and once on a keyspace (`repro store serve`) through `TestKeyspaceTransport`.
 """
 
 import json
+import os
+import signal
 import socket
+import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
 from repro.service import (
     ERROR_CODES,
+    HTTPBackend,
+    KeyspaceService,
     ResultStore,
     ServerThread,
     ServiceClient,
     ServiceError,
     VerificationService,
 )
+from repro.service import server as server_module
+from repro.service.backends import SQLiteBackend
 from repro.telemetry import (
     chrome_trace,
     counter_regressions,
@@ -34,6 +49,24 @@ from repro.telemetry import (
 )
 from repro.service.client import jobs_to_wire, post_jobs
 from repro.workloads import generate_jobs
+
+KEY = "a" * 64
+
+
+def _row(**fields):
+    """A verdict row for the keyspace tests; every NOT NULL column set."""
+    row = {
+        "created_at": time.time(),
+        "label": "job",
+        "nonempty": 1,
+        "exhausted": 1,
+        "elapsed_seconds": 0.5,
+        "statistics": "{}",
+        "job_spec": "{}",
+        "cacheable": 1,
+    }
+    row.update(fields)
+    return row
 
 
 def _request(base_url, path, data=None, method=None):
@@ -51,9 +84,36 @@ def _request(base_url, path, data=None, method=None):
         return error.code, json.loads(error.read()), dict(error.headers)
 
 
+def _exchange(address, raw, timeout=10):
+    """Send raw request bytes; everything the server answers until it closes."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(raw)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return data
+            data += chunk
+
+
+def _job_node(**kwargs):
+    return VerificationService(store=ResultStore.in_memory(), **kwargs)
+
+
+def _keyspace_node(**kwargs):
+    return KeyspaceService("memory:", **kwargs)
+
+
 @pytest.fixture()
 def server():
-    with ServerThread(service=VerificationService(store=ResultStore.in_memory())) as handle:
+    with ServerThread(service=_job_node()) as handle:
+        yield handle
+
+
+@pytest.fixture()
+def node(request):
+    """A running node of the kind the test class builds (``make_service``)."""
+    with ServerThread(service=request.cls.make_service()) as handle:
         yield handle
 
 
@@ -130,7 +190,87 @@ class TestEndpoints:
         assert all("fingerprint" in spec for spec in wire["jobs"])
 
 
-class TestConnectionLayer:
+class ConnectionCases:
+    """The transport's connection layer, on every node kind."""
+
+    def test_pipelined_requests_on_one_socket(self, node):
+        host, port = node.address
+        request = b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request * 3)  # all three before reading any response
+            deadline = time.time() + 10
+            data = b""
+            while data.count(b"HTTP/1.1 200") < 3 and time.time() < deadline:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+        assert data.count(b"HTTP/1.1 200") == 3
+        assert data.count(b"Connection: keep-alive") == 3
+        assert node.service.stats.connections_total == 1
+
+    def test_http_1_0_closes_by_default(self, node):
+        data = _exchange(node.address, b"GET /v1/healthz HTTP/1.0\r\nHost: t\r\n\r\n")
+        assert b"HTTP/1.1 200" in data
+        assert b"Connection: close" in data
+
+    def test_connection_cap_answers_503(self):
+        service = self.make_service()
+        service._max_connections = 1
+        with ServerThread(service=service) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=10) as first:
+                # Occupy the single slot with a real keep-alive request.
+                first.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                while b"\r\n\r\n" not in first.recv(65536):
+                    pass
+                status, payload, headers = _request(server.base_url, "/v1/healthz")
+                assert status == 503
+                assert payload["error"]["code"] == "too-many-connections"
+                assert headers.get("Retry-After") is not None
+            assert service.stats.connections_refused >= 1
+
+    def test_last_response_on_a_connection_says_close(self, node, monkeypatch):
+        # RFC 9112 section 9.6: the response that uses up the connection's
+        # request budget announces the close.
+        monkeypatch.setattr(server_module, "MAX_REQUESTS_PER_CONNECTION", 3)
+        host, port = node.address
+        connection = HTTPConnection(host, port, timeout=10)
+        try:
+            for number in (1, 2, 3):
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                expected = "close" if number == 3 else "keep-alive"
+                assert response.getheader("Connection") == expected
+                assert response.will_close is (number == 3)
+        finally:
+            connection.close()
+        assert node.service.stats.connections_total == 1
+
+    def test_negative_content_length_is_400(self, node):
+        # The transport refuses the length before routing, so every node
+        # kind answers the keyspace's write path the same way.
+        data = _exchange(
+            node.address,
+            f"PUT /v1/keys/{KEY} HTTP/1.1\r\nHost: t\r\nContent-Length: -1\r\n\r\n".encode(),
+        )
+        assert data.startswith(b"HTTP/1.1 400")
+        assert b'"bad-request"' in data
+
+    def test_oversized_body_is_413(self, node, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 64)
+        body = json.dumps(_row(label="x" * 100)).encode()
+        head = f"PUT /v1/keys/{KEY} HTTP/1.1\r\nHost: t\r\nContent-Length: {len(body)}\r\n\r\n"
+        data = _exchange(node.address, head.encode() + body)
+        assert data.startswith(b"HTTP/1.1 413")
+        assert b'"payload-too-large"' in data
+
+
+class TestConnectionLayer(ConnectionCases):
+    make_service = staticmethod(_job_node)
+
     def test_service_client_reuses_one_connection(self, server):
         with ServiceClient(server.base_url) as client:
             client.healthz()
@@ -146,50 +286,6 @@ class TestConnectionLayer:
             for _ in range(3):
                 client.healthz()
         assert server.service.stats.connections_total == 3
-
-    def test_pipelined_requests_on_one_socket(self, server):
-        host, port = server.address
-        request = b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n"
-        with socket.create_connection((host, port), timeout=10) as sock:
-            sock.sendall(request * 3)  # all three before reading any response
-            deadline = time.time() + 10
-            data = b""
-            while data.count(b"HTTP/1.1 200") < 3 and time.time() < deadline:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
-        assert data.count(b"HTTP/1.1 200") == 3
-        assert data.count(b"Connection: keep-alive") == 3
-        assert server.service.stats.connections_total == 1
-
-    def test_http_1_0_closes_by_default(self, server):
-        host, port = server.address
-        with socket.create_connection((host, port), timeout=10) as sock:
-            sock.sendall(b"GET /v1/healthz HTTP/1.0\r\nHost: t\r\n\r\n")
-            data = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
-        assert b"HTTP/1.1 200" in data
-        assert b"Connection: close" in data
-
-    def test_connection_cap_answers_503(self):
-        service = VerificationService(store=ResultStore.in_memory(), max_connections=1)
-        with ServerThread(service=service) as server:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as first:
-                # Occupy the single slot with a real keep-alive request.
-                first.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
-                while b"\r\n\r\n" not in first.recv(65536):
-                    pass
-                status, payload, headers = _request(server.base_url, "/v1/healthz")
-                assert status == 503
-                assert payload["error"]["code"] == "too-many-connections"
-                assert headers.get("Retry-After") is not None
-            assert service.stats.connections_refused >= 1
 
 
 class TestLoadShedding:
@@ -244,11 +340,12 @@ class TestLoadShedding:
             assert excinfo.value.code == "overloaded"
 
 
-class TestAuth:
+class AuthCases:
+    """The transport's token auth, on every node kind."""
+
     @pytest.fixture()
     def auth_server(self):
-        service = VerificationService(store=ResultStore.in_memory(), auth_token="open-sesame")
-        with ServerThread(service=service) as handle:
+        with ServerThread(service=self.make_service(auth_token="open-sesame")) as handle:
             yield handle
 
     def test_healthz_stays_open(self, auth_server):
@@ -272,13 +369,23 @@ class TestAuth:
 
     def test_bearer_and_header_tokens_accepted(self, auth_server):
         with ServiceClient(auth_server.base_url, auth_token="open-sesame") as client:
-            report = client.submit_batch(generate_jobs(1, seed=45))
-            assert report["executed"] == 1
+            assert client.stats()["role"] == auth_server.service.role
         request = urllib.request.Request(
             auth_server.base_url + "/v1/stats", headers={"X-Auth-Token": "open-sesame"}
         )
         with urllib.request.urlopen(request, timeout=30) as response:
             assert response.status == 200
+
+    def test_non_ascii_token_is_403(self, auth_server):
+        raw = "GET /v1/stats HTTP/1.1\r\nHost: t\r\nX-Auth-Token: café\r\nConnection: close\r\n"
+        data = _exchange(auth_server.address, (raw + "\r\n").encode("utf-8"))
+        assert data.startswith(b"HTTP/1.1 403")
+        assert b'"auth-invalid"' in data
+        assert auth_server.service.stats.auth_rejected == 1
+
+
+class TestAuth(AuthCases):
+    make_service = staticmethod(_job_node)
 
 
 class TestMetrics:
@@ -309,23 +416,24 @@ class TestMetrics:
 
 
 class TestVersioning:
-    def test_legacy_aliases_answer_with_deprecation(self, server):
-        for path in ("/healthz", "/stats"):
-            status, _, headers = _request(server.base_url, path)
-            assert status == 200
-            assert headers["Deprecation"] == "true"
-            assert headers["Link"] == f'</v1{path}>; rel="successor-version"'
+    @staticmethod
+    def _assert_404_naming_v1(base_url, path, data=None):
+        # The pre-/v1 aliases were removed in 2.0: each old path is a 404
+        # whose detail names its /v1 successor.
+        status, payload, headers = _request(base_url, path, data)
+        assert status == 404
+        assert payload["error"]["code"] == "not-found"
+        assert f"/v1{path}" in payload["error"]["detail"]
+        assert "Deprecation" not in headers
 
-    def test_legacy_jobs_roundtrip(self, server):
-        # The old unversioned wire format keeps working verbatim.
-        job = generate_jobs(1, seed=47)[0]
-        spec = json.dumps(job.to_spec()).encode()
-        status, payload, headers = _request(server.base_url, "/jobs", spec)
-        assert status == 200
-        assert payload["served_from"] == "engine"
-        assert headers["Deprecation"] == "true"
-        status, payload, _ = _request(server.base_url, f"/jobs/{job.fingerprint}")
-        assert status == 200 and payload["served_from"] == "store"
+    def test_unversioned_get_paths_are_404_naming_the_v1_path(self, server):
+        for path in ("/healthz", "/stats"):
+            self._assert_404_naming_v1(server.base_url, path)
+
+    def test_unversioned_jobs_post_is_404_and_runs_nothing(self, server):
+        spec = json.dumps(generate_jobs(1, seed=47)[0].to_spec()).encode()
+        self._assert_404_naming_v1(server.base_url, "/jobs", spec)
+        assert server.service.stats.jobs_received == 0
 
     def test_v1_routes_carry_no_deprecation(self, server):
         _, _, headers = _request(server.base_url, "/v1/healthz")
@@ -425,7 +533,22 @@ class TestBatchEvents:
             assert status == 200 and payload["completed"] is True
 
 
-class TestErrorPaths:
+class UnknownPathCases:
+    """The 404/405 answers, on every node kind."""
+
+    def test_unknown_paths_and_methods(self, node):
+        status, payload, _ = _request(node.base_url, "/v1/nope")
+        assert status == 404 and payload["error"]["code"] == "not-found"
+        assert "/v1" in payload["error"]["detail"]
+        status, payload, _ = _request(node.base_url, "/v1/batch/zzz")
+        assert status == 404 and payload["error"]["code"] == "not-found"
+        status, payload, _ = _request(node.base_url, "/v1/healthz", data=b"", method="POST")
+        assert status == 405 and payload["error"]["code"] == "method-not-allowed"
+
+
+class TestErrorPaths(UnknownPathCases):
+    make_service = staticmethod(_job_node)
+
     def test_every_error_code_is_documented(self):
         # The envelope contract: codes asserted across this class must all
         # be documented in ERROR_CODES (and carry their status in the doc).
@@ -477,17 +600,6 @@ class TestErrorPaths:
         )
         assert status == 400
         assert payload["error"]["code"] == "invalid-spec"
-
-    def test_unknown_paths_and_methods(self, server):
-        status, payload, _ = _request(server.base_url, "/v1/nope")
-        assert status == 404 and payload["error"]["code"] == "not-found"
-        assert "/v1" in payload["error"]["detail"]
-        status, payload, _ = _request(server.base_url, "/v1/batch/zzz")
-        assert status == 404 and payload["error"]["code"] == "not-found"
-        status, payload, _ = _request(
-            server.base_url, "/v1/healthz", data=b"", method="POST"
-        )
-        assert status == 405 and payload["error"]["code"] == "method-not-allowed"
 
     def test_service_error_surfaces_envelope(self, server):
         with ServiceClient(server.base_url, retries=0) as client:
@@ -721,8 +833,34 @@ class TestObservability:
         assert hits == 2  # the warm rerun, counted once per job
 
 
-class TestConnectionFaults:
+class DisconnectCases:
+    """A client that vanishes mid-request, on every node kind."""
+
+    def test_mid_body_client_disconnect_leaves_server_healthy(self, node):
+        host, port = node.address
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\n"
+                b"Host: t\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 1000\r\n"
+                b"\r\n"
+                b'{"jobs": ['  # a fraction of the promised body, then gone
+            )
+        # The aborted read must not 500 the connection task or leak state:
+        # the server keeps answering and its connection gauge returns to 1
+        # (the probe's own connection).
+        deadline = time.time() + 10
+        while node.service._open_connections > 0 and time.time() < deadline:
+            time.sleep(0.05)
+        status, payload, _ = _request(node.base_url, "/v1/healthz")
+        assert status == 200 and payload["status"] == "ok"
+
+
+class TestConnectionFaults(DisconnectCases):
     """Client/server resilience to broken connections (reliability suite)."""
+
+    make_service = staticmethod(_job_node)
 
     def test_client_retries_stale_keepalive_connection(self):
         # A keep-alive connection the server has idle-timed-out must be
@@ -737,22 +875,104 @@ class TestConnectionFaults:
             # Two TCP connections total: the original and the replacement.
             assert service.stats.connections_total == 2
 
-    def test_mid_body_client_disconnect_leaves_server_healthy(self, server):
-        host, port = server.address
-        with socket.create_connection((host, port), timeout=10) as sock:
-            sock.sendall(
-                b"POST /v1/jobs HTTP/1.1\r\n"
-                b"Host: t\r\n"
-                b"Content-Type: application/json\r\n"
-                b"Content-Length: 1000\r\n"
-                b"\r\n"
-                b'{"jobs": ['  # a fraction of the promised body, then gone
-            )
-        # The aborted read must not 500 the connection task or leak state:
-        # the server keeps answering and its connection gauge returns to 1
-        # (the probe's own connection).
-        deadline = time.time() + 10
-        while server.service._open_connections > 0 and time.time() < deadline:
-            time.sleep(0.05)
-        status, payload, _ = _request(server.base_url, "/v1/healthz")
-        assert status == 200 and payload["status"] == "ok"
+
+class TestKeyspaceTransport(ConnectionCases, AuthCases, UnknownPathCases, DisconnectCases):
+    """The keyspace (`repro store serve`) on the one transport.
+
+    It inherits every transport case above; the tests here cover what the
+    keyspace adds on top: its metrics next to the transport's, one ops
+    count per request, no stall per call, and the SIGTERM drain.
+    """
+
+    make_service = staticmethod(_keyspace_node)
+
+    @staticmethod
+    def _ops_total(service):
+        samples = parse_exposition(service.registry.render()).samples
+        return sum(value for (name, _), value in samples.items()
+                   if name == "repro_keyspace_ops_total")
+
+    def test_unversioned_paths_are_404_naming_the_v1_path(self, node):
+        for path in ("/count", f"/keys/{KEY}", "/healthz"):
+            status, payload, _ = _request(node.base_url, path)
+            assert status == 404
+            assert payload["error"]["code"] == "not-found"
+            assert f"/v1{path}" in payload["error"]["detail"]
+
+    def test_metrics_lint_clean_with_latency_by_endpoint(self, node):
+        backend = HTTPBackend(node.base_url)
+        backend.put(KEY, _row())
+        assert backend.get(KEY) is not None
+        backend.close()
+        with ServiceClient(node.base_url) as client:
+            text = client.metrics()
+        assert validate_exposition(text) == []
+        for family in (
+            "repro_keyspace_ops_total",
+            "repro_keyspace_rows",
+            "repro_keyspace_expired_total",
+            "repro_keyspace_evicted_total",
+            "repro_request_latency_seconds",
+            "repro_connections_opened_total",
+        ):
+            assert family in text, f"{family} missing from the keyspace's /v1/metrics"
+        for endpoint in ("discovery", "key_put", "key_get"):
+            assert f'repro_request_latency_seconds_count{{endpoint="{endpoint}"}} 1' in text
+
+    def test_each_request_counts_one_op(self, node):
+        backend = HTTPBackend(node.base_url)
+        backend.put(KEY, _row(created_at=1.0))
+        before = self._ops_total(node.service)
+        assert backend.get("b" * 64) is None  # a miss: outcome "miss" only
+        assert self._ops_total(node.service) == before + 1
+        assert backend.put_if_absent(KEY, _row(created_at=2.0)) is False  # a 412
+        assert self._ops_total(node.service) == before + 2
+        backend.close()
+
+    def test_backend_calls_do_not_stall(self, node):
+        # Header and body leave in one write; split writes cost every call
+        # the client's delayed ACK (~40 ms).
+        backend = HTTPBackend(node.base_url)
+        backend.put(KEY, _row())
+        samples = []
+        for _ in range(20):
+            started = time.perf_counter()
+            assert backend.get(KEY) is not None
+            samples.append(time.perf_counter() - started)
+        backend.close()
+        assert statistics.median(samples) < 0.020, samples
+
+    def test_store_serve_drains_on_sigterm(self, tmp_path):
+        port_file = tmp_path / "port"
+        database = tmp_path / "keyspace.sqlite"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "store", "serve", "--store", str(database),
+             "--port", "0", "--port-file", str(port_file)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not (port_file.exists() and port_file.read_text().strip()):
+                assert process.poll() is None, "keyspace exited during start-up"
+                assert time.monotonic() < deadline, "keyspace did not come up"
+                time.sleep(0.05)
+            backend = HTTPBackend(f"http://127.0.0.1:{port_file.read_text().strip()}")
+            backend.put(KEY, _row(label="kept"))
+            backend.close()
+            process.send_signal(signal.SIGTERM)
+            output, _ = process.communicate(timeout=30)
+            assert process.returncode == 0, output
+            assert "drained cleanly" in output
+            assert "Traceback" not in output
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate(timeout=10)
+        # The drain checkpointed and closed the backend: the row is on disk.
+        stored = SQLiteBackend(database)
+        assert stored.get(KEY)["label"] == "kept"
+        stored.close()

@@ -131,23 +131,3 @@ class TestStressFamilies:
             job.theory, max_configurations=job.max_configurations
         ).check(job.system)
         assert result.exhausted and result.nonempty
-
-
-class TestDeprecatedWireShims:
-    """repro.workloads kept jobs_to_wire/post_jobs as warning shims."""
-
-    def test_jobs_to_wire_warns_and_delegates(self):
-        from repro.service.client import jobs_to_wire as canonical
-        from repro.workloads import jobs_to_wire
-
-        jobs = generate_jobs(2, seed=13)
-        with pytest.warns(DeprecationWarning, match="repro.service.client"):
-            wire = jobs_to_wire(jobs)
-        assert wire == canonical(jobs)
-
-    def test_post_jobs_warns(self):
-        from repro.workloads import post_jobs
-
-        with pytest.warns(DeprecationWarning, match="repro.service.client"):
-            with pytest.raises(OSError):
-                post_jobs("http://127.0.0.1:9", generate_jobs(1, seed=13))
