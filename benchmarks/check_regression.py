@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark regression guard: fail CI when a gated benchmark collapses.
 
-Two guarded records, selected with ``--kind``:
+Two guards, selected with ``--kind``:
 
 * ``engine`` (the default) compares a freshly produced ``BENCH_engine.json``
   (typically the ``--smoke`` variant from the CI benchmark job) against the
@@ -13,29 +13,28 @@ Two guarded records, selected with ``--kind``:
       current_normalized > committed_normalized / tolerance
 
   for the gated workload (``bench_e2``, the HOM scaling instance the
-  compiled transition plans target).  It also gates the witness-certificate
-  phase: recording certificates on the seeded batch must stay within
-  ``--max-certify-overhead`` percent of the plain run (the design target
-  is <5%; the gate leaves headroom for noisy runners).
+  compiled transition plans target).  It also gates two opt-in costs of the
+  fresh record, each measured on a seeded batch: recording witness
+  certificates (``certify``; design target <5%) and arming a retry policy
+  on a clean 2-worker run (``fault_tolerance``; design target <2%) must each
+  stay within :data:`MAX_OVERHEAD_PERCENT` of the plain run, which leaves
+  headroom for noisy runners.
 
-* ``service`` gates the HTTP front door's load test in
-  ``BENCH_service.json``: keep-alive throughput must not lose to the
-  close-per-request baseline measured in the same fresh run
-  (``--min-ratio``), and must retain a fraction of the committed record's
-  keep-alive throughput (``--tolerance`` with an absolute rps floor).  It
-  also gates the fault-tolerance phase: arming the retry policy on a clean
-  run must stay within ``--max-retry-overhead`` percent of the plain run
-  (the design target is <2%; the gate leaves headroom for noisy runners).
-  Finally it gates the cluster phase: the sharded fleet's warm-serve
-  throughput (coordinator + runners over one shared keyspace) must retain
-  a fraction of the committed number (``--cluster-tolerance`` with an
-  absolute jobs/second floor), and the fresh record must assert verdict
-  parity with a serial single-node run.
+* ``verdict`` gates the throughput of the verdict benchmark
+  (``perfbench/run.py``).  ``--current`` is the ``report.json`` of a plain
+  (``--trace 0``) run, ``--baseline`` the committed ``BENCH_verdict.json``.
+  The check fails when the run's ``metrics.verdicts_per_s.value`` falls
+  below ``tolerance`` times the committed ``metrics.verdicts_per_s.change``
+  median of ``--workload``.  ``verdicts_per_s`` counts verdicts over the
+  window the run actually used -- from the first measured request to the
+  last response -- so a request pool that runs dry before ``--seconds``
+  does not lower it.
 
-Both guards are tolerance-based: the committed records are produced in
-``full`` mode on a quiet machine while CI runs the smaller smoke workload
-on noisy shared runners, so each bound is the committed number scaled by a
-tolerance, never an exact match.
+Both guards are tolerance-based: the committed records come from longer
+runs on a quiet machine while CI runs smoke-sized workloads on noisy shared
+runners, so each bound is the committed number scaled by a tolerance, never
+an exact match.  Exit status: 0 passed, 1 regression, 2 a record cannot
+answer the question (unreadable file, missing section or row).
 
 Usage::
 
@@ -43,9 +42,10 @@ Usage::
         --baseline BENCH_engine.json \
         --current bench-artifacts/BENCH_engine.json
 
-    python benchmarks/check_regression.py --kind service \
-        --baseline BENCH_service.json \
-        --current bench-artifacts/BENCH_service.json
+    python3 perfbench/run.py --workload fleet_warm --seed 11 --seconds 8 --trace 0
+    python benchmarks/check_regression.py --kind verdict --workload fleet_warm \
+        --baseline BENCH_verdict.json \
+        --current perfbench/out/fleet_warm-seed11-trace0/report.json
 """
 
 from __future__ import annotations
@@ -60,46 +60,29 @@ from pathlib import Path
 #: UNKNOWN, bench_e2 measured 34 times slower.
 DEFAULT_TOLERANCE = 0.25
 
-#: Keep-alive vs close-per-request: persistent connections must at least
-#: break even (a little slack for scheduling noise on shared runners).
-DEFAULT_MIN_KEEPALIVE_RATIO = 0.9
+#: Fraction of the committed verdicts_per_s median a perfbench smoke must
+#: reach.  Loose: the smoke's 8-second window on a shared runner is far
+#: noisier than the committed 35-second pairs, so this only catches a
+#: collapse such as the 44 ms keyspace stall (fleet_warm 307 -> 16/s).
+DEFAULT_VERDICT_TOLERANCE = 0.1
 
-#: Absolute keep-alive throughput floor in requests/second.  Deliberately
-#: tiny: CI smoke runs a fraction of the committed full-mode load on shared
-#: hardware, so this only catches a server that stopped serving.
-DEFAULT_MIN_RPS_FLOOR = 10.0
-
-#: Fraction of the committed keep-alive throughput the fresh run must
-#: retain.  Looser than the engine tolerance: throughput is wall-clock on
-#: shared runners and the smoke load differs from the committed full run.
-DEFAULT_SERVICE_TOLERANCE = 0.1
-
-#: Maximum percent the witness-certificate opt-in may slow the seeded
-#: batch down.  The design target is <5% (pinned by the committed
-#: full-mode record); CI smoke batches finish in fractions of a second on
-#: shared runners, so the gate leaves headroom for scheduling jitter and
-#: only catches certificate recording growing a real per-job cost.
-DEFAULT_MAX_CERTIFY_OVERHEAD_PERCENT = 25.0
-
-#: Maximum percent a clean run may slow down with a retry policy armed.
-#: The design target is <2%; CI smoke batches are tiny (seconds of work on
-#: shared runners), so the gate only catches the policy growing a real
-#: per-job cost, not scheduling jitter.
-DEFAULT_MAX_RETRY_OVERHEAD_PERCENT = 25.0
-
-#: Absolute fleet warm-serve throughput floor in jobs/second.  The warm
-#: path is three HTTP hops per job (client -> coordinator -> keyspace), so
-#: this only catches the distributed tier falling over, not noise.
-DEFAULT_MIN_CLUSTER_JPS_FLOOR = 5.0
-
-#: Fraction of the committed fleet warm-serve throughput the fresh run
-#: must retain.  As loose as the front-door tolerance and for the same
-#: reason: wall-clock over real sockets on shared CI runners.
-DEFAULT_CLUSTER_TOLERANCE = 0.1
+#: Maximum percent an opt-in (certificate recording, an armed retry policy)
+#: may slow its seeded batch down.  The design targets are <5% and <2%, but
+#: the batches finish in fractions of a second on shared runners (the retry
+#: batch includes a fresh pool's start), so the gate leaves headroom for
+#: that jitter and only catches an opt-in growing a real per-job cost.
+MAX_OVERHEAD_PERCENT = 25.0
 
 
 class GuardDataError(Exception):
     """A benchmark record cannot answer the guarded question."""
+
+
+def _load(path: Path, what: str) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as error:
+        raise GuardDataError(f"cannot read {what} {path}: {error}") from error
 
 
 def _normalized_of(record: dict, record_name: str, workload: str) -> float:
@@ -163,27 +146,49 @@ def _certify_of(record: dict, record_name: str) -> dict:
     return certify
 
 
+def _retry_overhead_of(record: dict, record_name: str) -> float:
+    """The clean-run retry-policy overhead percent, or an explicit failure."""
+    fault_tolerance = record.get("fault_tolerance")
+    if not isinstance(fault_tolerance, dict):
+        raise GuardDataError(
+            f"{record_name} record has no 'fault_tolerance' entry; it predates "
+            "schema 6, which moved the retry-overhead phase into the engine "
+            "record -- regenerate it with benchmarks/run_all.py"
+        )
+    overhead = fault_tolerance.get("retry_overhead_percent")
+    if not isinstance(overhead, (int, float)):
+        raise GuardDataError(
+            f"{record_name} record has no usable retry_overhead_percent "
+            f"(got {overhead!r})"
+        )
+    return overhead
+
+
+def _overhead_regressed(what: str, overhead: float) -> bool:
+    print(f"{what}: overhead {overhead:+.1f}% (allowed <= {MAX_OVERHEAD_PERCENT:.0f}%)")
+    if overhead <= MAX_OVERHEAD_PERCENT:
+        return False
+    print(
+        f"REGRESSION: {what} slows its seeded batch by {overhead:.1f}% "
+        f"(allowed <= {MAX_OVERHEAD_PERCENT:.0f}%)",
+        file=sys.stderr,
+    )
+    return True
+
+
 def check(
     baseline_path: Path,
     current_path: Path,
     workload: str = "bench_e2",
     tolerance: float = DEFAULT_TOLERANCE,
-    max_certify_overhead: float = DEFAULT_MAX_CERTIFY_OVERHEAD_PERCENT,
 ) -> int:
     try:
-        baseline = json.loads(baseline_path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"GUARD FAILURE: cannot read baseline {baseline_path}: {error}", file=sys.stderr)
-        return 2
-    try:
-        current = json.loads(current_path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"GUARD FAILURE: cannot read current record {current_path}: {error}", file=sys.stderr)
-        return 2
-    try:
+        baseline = _load(baseline_path, "baseline")
+        current = _load(current_path, "current record")
         committed = _normalized_of(baseline, "baseline", workload)
         fresh = _normalized_of(current, "current", workload)
         fresh_certify = _certify_of(current, "current")
+        retry_overhead = _retry_overhead_of(current, "current")
     except GuardDataError as error:
         print(f"GUARD FAILURE: {error}", file=sys.stderr)
         return 2
@@ -203,18 +208,12 @@ def check(
         )
         failed = True
     certify_overhead = fresh_certify["certificate_overhead_percent"]
-    print(
-        f"certify: opt-in overhead {certify_overhead:+.1f}% over "
-        f"{fresh_certify['nonempty']} nonempty verdicts "
-        f"(allowed <= {max_certify_overhead:.0f}%)"
-    )
-    if certify_overhead > max_certify_overhead:
-        print(
-            f"REGRESSION: recording witness certificates slows the seeded "
-            f"batch by {certify_overhead:.1f}% "
-            f"(allowed <= {max_certify_overhead:.0f}%)",
-            file=sys.stderr,
-        )
+    if _overhead_regressed(
+        f"recording witness certificates ({fresh_certify['nonempty']} nonempty verdicts)",
+        certify_overhead,
+    ):
+        failed = True
+    if _overhead_regressed("arming the retry policy on a clean run", retry_overhead):
         failed = True
     if failed:
         return 1
@@ -222,230 +221,92 @@ def check(
     return 0
 
 
-def _load_test_of(record: dict, record_name: str) -> dict:
-    """The load-test section of a service record, or an explicit failure."""
-    service = record.get("service")
-    if not isinstance(service, dict) or not service:
+def _committed_verdicts_per_s(record: dict, workload: str) -> float:
+    """The change median of ``workload``'s verdicts_per_s in BENCH_verdict.json."""
+    workloads = record.get("workloads")
+    if not isinstance(workloads, dict) or workload not in workloads:
+        available = ", ".join(sorted(workloads)) if isinstance(workloads, dict) else "none"
         raise GuardDataError(
-            f"{record_name} record has no 'service' section; was the service "
-            "phase skipped when it was produced?"
+            f"baseline record has no workload {workload!r}; available: {available}"
         )
-    load_test = service.get("load_test")
-    if not isinstance(load_test, dict):
+    try:
+        median = workloads[workload]["metrics"]["verdicts_per_s"]["change"]["median"]
+    except (KeyError, TypeError):
+        median = None
+    if not isinstance(median, (int, float)) or median <= 0:
         raise GuardDataError(
-            f"{record_name} record has no 'load_test' entry; it predates the "
-            "front-door load test -- regenerate it with benchmarks/run_all.py"
+            f"baseline record has no usable metrics.verdicts_per_s.change.median "
+            f"for {workload!r} (got {median!r})"
         )
-    return load_test
+    return median
 
 
-def _throughput_of(load_test: dict, record_name: str, mode: str) -> float:
-    entry = load_test.get(mode)
-    throughput = entry.get("throughput_rps") if isinstance(entry, dict) else None
-    if not isinstance(throughput, (int, float)) or throughput <= 0:
+def _reported_verdicts_per_s(report: dict) -> float:
+    """A perfbench report's end-to-end verdicts_per_s."""
+    try:
+        value = report["metrics"]["verdicts_per_s"]["value"]
+    except (KeyError, TypeError):
+        value = None
+    if not isinstance(value, (int, float)) or value < 0:
         raise GuardDataError(
-            f"{record_name} load test has no usable throughput for {mode!r} "
-            f"(got {throughput!r})"
+            f"current report has no usable metrics.verdicts_per_s.value "
+            f"(got {value!r}); only a --trace 0 run reports end-to-end metrics"
         )
-    return throughput
+    return value
 
 
-def _retry_overhead_of(record: dict, record_name: str) -> float:
-    """The clean-run retry-policy overhead percent, or an explicit failure."""
-    service = record.get("service")
-    if not isinstance(service, dict) or not service:
-        raise GuardDataError(
-            f"{record_name} record has no 'service' section; was the service "
-            "phase skipped when it was produced?"
-        )
-    fault_tolerance = service.get("fault_tolerance")
-    if not isinstance(fault_tolerance, dict):
-        raise GuardDataError(
-            f"{record_name} record has no 'fault_tolerance' entry; it "
-            "predates the fault-tolerance phase -- regenerate it with "
-            "benchmarks/run_all.py"
-        )
-    overhead = fault_tolerance.get("retry_overhead_percent")
-    if not isinstance(overhead, (int, float)):
-        raise GuardDataError(
-            f"{record_name} record has no usable retry_overhead_percent "
-            f"(got {overhead!r})"
-        )
-    return overhead
-
-
-def _cluster_of(record: dict, record_name: str) -> dict:
-    """The cluster section of a service record, or an explicit failure."""
-    service = record.get("service")
-    if not isinstance(service, dict) or not service:
-        raise GuardDataError(
-            f"{record_name} record has no 'service' section; was the service "
-            "phase skipped when it was produced?"
-        )
-    cluster = service.get("cluster")
-    if not isinstance(cluster, dict):
-        raise GuardDataError(
-            f"{record_name} record has no 'cluster' entry; it predates the "
-            "distributed verdict cluster -- regenerate it with "
-            "benchmarks/run_all.py"
-        )
-    return cluster
-
-
-def _cluster_throughput_of(cluster: dict, record_name: str) -> float:
-    throughput = cluster.get("warm_throughput_jps")
-    if not isinstance(throughput, (int, float)) or throughput <= 0:
-        raise GuardDataError(
-            f"{record_name} cluster phase has no usable warm_throughput_jps "
-            f"(got {throughput!r})"
-        )
-    if cluster.get("verdicts_match_serial") is not True:
-        raise GuardDataError(
-            f"{record_name} cluster phase did not assert verdict parity with "
-            "a serial run (verdicts_match_serial is "
-            f"{cluster.get('verdicts_match_serial')!r})"
-        )
-    return throughput
-
-
-def check_service(
+def check_verdict(
     baseline_path: Path,
     current_path: Path,
-    tolerance: float = DEFAULT_SERVICE_TOLERANCE,
-    min_rps_floor: float = DEFAULT_MIN_RPS_FLOOR,
-    min_ratio: float = DEFAULT_MIN_KEEPALIVE_RATIO,
-    max_retry_overhead: float = DEFAULT_MAX_RETRY_OVERHEAD_PERCENT,
-    min_cluster_jps_floor: float = DEFAULT_MIN_CLUSTER_JPS_FLOOR,
-    cluster_tolerance: float = DEFAULT_CLUSTER_TOLERANCE,
+    workload: str,
+    tolerance: float = DEFAULT_VERDICT_TOLERANCE,
 ) -> int:
     try:
-        baseline = json.loads(baseline_path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"GUARD FAILURE: cannot read baseline {baseline_path}: {error}", file=sys.stderr)
-        return 2
-    try:
-        current = json.loads(current_path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"GUARD FAILURE: cannot read current record {current_path}: {error}", file=sys.stderr)
-        return 2
-    try:
-        committed = _throughput_of(_load_test_of(baseline, "baseline"), "baseline", "keepalive")
-        fresh_load = _load_test_of(current, "current")
-        fresh_keepalive = _throughput_of(fresh_load, "current", "keepalive")
-        fresh_close = _throughput_of(fresh_load, "current", "close_per_request")
-        fresh_overhead = _retry_overhead_of(current, "current")
-        committed_cluster = _cluster_throughput_of(
-            _cluster_of(baseline, "baseline"), "baseline"
-        )
-        fresh_cluster = _cluster_throughput_of(
-            _cluster_of(current, "current"), "current"
-        )
+        committed = _committed_verdicts_per_s(_load(baseline_path, "baseline"), workload)
+        fresh = _reported_verdicts_per_s(_load(current_path, "current report"))
     except GuardDataError as error:
         print(f"GUARD FAILURE: {error}", file=sys.stderr)
         return 2
-    ratio = fresh_keepalive / fresh_close
-    floor = max(min_rps_floor, committed * tolerance)
+    floor = committed * tolerance
     print(
-        f"front-door load test: committed keepalive {committed:.0f} rps "
-        f"({baseline.get('mode', '?')} mode), fresh keepalive "
-        f"{fresh_keepalive:.0f} rps / close {fresh_close:.0f} rps "
-        f"({current.get('mode', '?')} mode), ratio {ratio:.2f}x, "
-        f"floor {floor:.0f} rps"
+        f"{workload}: committed verdicts_per_s {committed:.1f}/s (change median), "
+        f"fresh {fresh:.1f}/s, floor {floor:.1f}/s"
     )
-    failed = False
-    if ratio < min_ratio:
+    if fresh < floor:
         print(
-            f"REGRESSION: keep-alive throughput is {ratio:.2f}x the "
-            f"close-per-request baseline (required >= {min_ratio})",
+            f"REGRESSION: {workload} delivered {fresh:.1f} verdicts/s, below the "
+            f"floor {floor:.1f}/s (committed {committed:.1f}/s, tolerance {tolerance})",
             file=sys.stderr,
         )
-        failed = True
-    if fresh_keepalive < floor:
-        print(
-            f"REGRESSION: keep-alive throughput {fresh_keepalive:.0f} rps "
-            f"dropped below the floor {floor:.0f} rps "
-            f"(committed {committed:.0f} rps, tolerance {tolerance})",
-            file=sys.stderr,
-        )
-        failed = True
-    print(
-        f"fault tolerance: retry-armed clean-run overhead "
-        f"{fresh_overhead:+.1f}% (allowed <= {max_retry_overhead:.0f}%)"
-    )
-    if fresh_overhead > max_retry_overhead:
-        print(
-            f"REGRESSION: arming the retry policy slows a clean run by "
-            f"{fresh_overhead:.1f}% (allowed <= {max_retry_overhead:.0f}%)",
-            file=sys.stderr,
-        )
-        failed = True
-    cluster_floor = max(min_cluster_jps_floor, committed_cluster * cluster_tolerance)
-    print(
-        f"cluster: committed fleet warm-serve {committed_cluster:.0f} jobs/s "
-        f"({baseline.get('mode', '?')} mode), fresh {fresh_cluster:.0f} jobs/s "
-        f"({current.get('mode', '?')} mode), floor {cluster_floor:.0f} jobs/s"
-    )
-    if fresh_cluster < cluster_floor:
-        print(
-            f"REGRESSION: fleet warm-serve throughput {fresh_cluster:.0f} "
-            f"jobs/s dropped below the floor {cluster_floor:.0f} jobs/s "
-            f"(committed {committed_cluster:.0f} jobs/s, tolerance "
-            f"{cluster_tolerance})",
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
         return 1
-    print("service regression guard passed")
+    print("verdict throughput guard passed")
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--kind", choices=["engine", "service"], default="engine",
-                        help="which record to gate (default: engine)")
+    parser.add_argument("--kind", choices=["engine", "verdict"], default="engine",
+                        help="engine: BENCH_engine.json against the committed one "
+                        "(default); verdict: a perfbench report.json against "
+                        "BENCH_verdict.json")
     parser.add_argument("--baseline", type=Path, required=True,
-                        help="committed BENCH_engine.json / BENCH_service.json")
+                        help="committed BENCH_engine.json / BENCH_verdict.json")
     parser.add_argument("--current", type=Path, required=True,
-                        help="freshly produced record of the same kind")
+                        help="fresh BENCH_engine.json / perfbench report.json")
     parser.add_argument("--workload", default="bench_e2",
-                        help="gated engine workload (default: bench_e2)")
+                        help="gated workload (default: bench_e2; the verdict kind "
+                        "gates engine_cold or fleet_warm)")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="engine: fresh normalized time may be at most the "
-                        "committed one / tolerance; service: fraction of the "
-                        "committed throughput to require")
-    parser.add_argument("--max-certify-overhead", type=float,
-                        default=DEFAULT_MAX_CERTIFY_OVERHEAD_PERCENT,
-                        help="maximum seeded-batch slowdown percent with "
-                        "certificate recording on (engine)")
-    parser.add_argument("--min-rps-floor", type=float, default=DEFAULT_MIN_RPS_FLOOR,
-                        help="absolute minimum keep-alive throughput (service)")
-    parser.add_argument("--min-ratio", type=float, default=DEFAULT_MIN_KEEPALIVE_RATIO,
-                        help="minimum keepalive/close throughput ratio (service)")
-    parser.add_argument("--max-retry-overhead", type=float,
-                        default=DEFAULT_MAX_RETRY_OVERHEAD_PERCENT,
-                        help="maximum clean-run slowdown percent with a retry "
-                        "policy armed (service)")
-    parser.add_argument("--min-cluster-jps-floor", type=float,
-                        default=DEFAULT_MIN_CLUSTER_JPS_FLOOR,
-                        help="absolute minimum fleet warm-serve throughput in "
-                        "jobs/second (service)")
-    parser.add_argument("--cluster-tolerance", type=float,
-                        default=DEFAULT_CLUSTER_TOLERANCE,
-                        help="fraction of the committed fleet warm-serve "
-                        "throughput to require (service)")
+                        f"committed one / tolerance (default {DEFAULT_TOLERANCE}); "
+                        "verdict: fraction of the committed verdicts_per_s to "
+                        f"require (default {DEFAULT_VERDICT_TOLERANCE})")
     args = parser.parse_args(argv)
-    if args.kind == "service":
-        tolerance = args.tolerance if args.tolerance is not None else DEFAULT_SERVICE_TOLERANCE
-        return check_service(
-            args.baseline, args.current, tolerance, args.min_rps_floor,
-            args.min_ratio, args.max_retry_overhead,
-            args.min_cluster_jps_floor, args.cluster_tolerance,
-        )
+    if args.kind == "verdict":
+        tolerance = args.tolerance if args.tolerance is not None else DEFAULT_VERDICT_TOLERANCE
+        return check_verdict(args.baseline, args.current, args.workload, tolerance)
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    return check(
-        args.baseline, args.current, args.workload, tolerance, args.max_certify_overhead,
-    )
+    return check(args.baseline, args.current, args.workload, tolerance)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Unified benchmark runner: e1-e9 suite, engine timings, batch service.
+"""Unified benchmark runner: e1-e9 suite and engine timings.
 
-Three phases, all optional:
+Two phases, both optional:
 
 * **suite** -- runs the pytest-benchmark files ``bench_e1`` .. ``bench_e9``
   and stores pytest-benchmark's machine-readable output as
@@ -27,17 +27,15 @@ Three phases, all optional:
   A ``certify`` section does the same for opt-in witness certificates
   (:mod:`repro.certify`): the recording overhead of ``certificate=True``
   on a seeded batch (budget: <5%) and the cost of the engine-independent
-  validator against re-running the engine on the same nonempty jobs.
-* **service** -- measures the batch verification service
-  (:mod:`repro.service`) on a seeded random workload batch
-  (:mod:`repro.workloads`): serial vs parallel execution and cold vs
-  warm-cache reruns against the fingerprinted result store, cross-checking
-  that every mode returns identical verdicts, plus a concurrent load test
-  of the HTTP front door (keep-alive vs close-per-request clients over a
-  mixed cold/warm traffic shape, with tail-latency percentiles), and a
-  fault-tolerance phase (retry-policy overhead on clean runs, recovery
-  wall-clock under an injected worker crash).  Results go to
-  ``BENCH_service.json``.
+  validator against re-running the engine on the same nonempty jobs.  A
+  ``fault_tolerance`` section measures the supervised pool's retry policy
+  the same way: its overhead on a clean 2-worker batch (budget: <2%) and
+  the wall-clock of recovering from one injected worker crash.
+
+The service itself -- throughput, latency and verdicts through real
+``repro serve`` and ``repro store serve`` processes -- is measured by
+``perfbench/run.py``, whose CI smoke ``check_regression.py --kind verdict``
+gates against ``BENCH_verdict.json``.
 
 Usage::
 
@@ -418,244 +416,6 @@ def run_strategy_agreement() -> dict:
     return report
 
 
-# -- service phase ---------------------------------------------------------------
-
-
-def _service_comparison(jobs, workers: int) -> dict:
-    """Serial vs parallel vs warm-cache timings for one batch of jobs.
-
-    The warm rerun hits the same store the parallel cold run populated, so
-    it measures exactly the cache path a deployed service would take on
-    repeat traffic; verdict lists are asserted identical across all modes.
-    """
-    import tempfile
-
-    from repro.service import BatchRunner, ResultStore
-
-    serial = BatchRunner(workers=1, timeout_seconds=300).run(jobs)
-    with tempfile.TemporaryDirectory() as tmp:
-        store = ResultStore(Path(tmp) / "service.sqlite")
-        try:
-            cold = BatchRunner(store=store, workers=workers, timeout_seconds=300).run(
-                jobs
-            )
-            warm = BatchRunner(store=store, workers=workers, timeout_seconds=300).run(
-                jobs
-            )
-        finally:
-            store.close()
-
-    verdicts_match = serial.verdicts == cold.verdicts == warm.verdicts
-    assert verdicts_match, "parallel/warm verdicts differ from the serial run"
-    assert warm.cache_hits == len(jobs), "warm rerun did not hit the store for every job"
-    speedup = (
-        cold.elapsed_seconds / warm.elapsed_seconds if warm.elapsed_seconds else None
-    )
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cpus = os.cpu_count()
-    return {
-        "job_count": len(jobs),
-        "workers": workers,
-        # Worker processes are single-core; parallel fan-out can only beat
-        # serial execution when this exceeds 1.
-        "cpus_available": cpus,
-        "verdict_counts": cold.verdict_counts(),
-        "serial_seconds": round(serial.elapsed_seconds, 4),
-        "parallel_cold_seconds": round(cold.elapsed_seconds, 4),
-        "serial_vs_parallel_speedup": round(
-            serial.elapsed_seconds / cold.elapsed_seconds, 2
-        )
-        if cold.elapsed_seconds
-        else None,
-        "warm_seconds": round(warm.elapsed_seconds, 4),
-        "cold_vs_warm_speedup": round(speedup, 1) if speedup else None,
-        "warm_cache_hits": warm.cache_hits,
-        "serial_parallel_verdicts_match": verdicts_match,
-        "errors": len(cold.errors),
-    }
-
-
-#: Worker counts of the scaling curve (the ROADMAP's multi-core record;
-#: CI runs it on a 4-core runner, where 4 workers should approach 4x on
-#: heavy jobs).
-SCALING_WORKER_COUNTS = (1, 2, 4)
-
-
-def run_worker_scaling(smoke: bool) -> dict:
-    """Cold-run wall-clock of one heavy batch across worker counts.
-
-    Uses the heavy profile (0.1-1s per job): pool fan-out only wins when
-    per-job engine time dwarfs process overhead, so light jobs would just
-    measure the pool.  No store -- each run is a pure cold execution of the
-    same jobs, making the curve a direct serial-vs-parallel comparison.
-    """
-    from repro.service import BatchRunner
-    from repro.workloads import generate_jobs
-
-    jobs = generate_jobs(4 if smoke else 16, seed=2013, profile="heavy")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cpus = os.cpu_count()
-    curve = []
-    serial_seconds = None
-    baseline_verdicts = None
-    for workers in SCALING_WORKER_COUNTS:
-        report = BatchRunner(workers=workers, timeout_seconds=300).run(jobs)
-        if baseline_verdicts is None:
-            baseline_verdicts = report.verdicts
-            serial_seconds = report.elapsed_seconds
-        assert report.verdicts == baseline_verdicts, (
-            f"scaling run with {workers} workers changed the verdicts"
-        )
-        point = {
-            "workers": workers,
-            "seconds": round(report.elapsed_seconds, 4),
-            "speedup_vs_serial": round(serial_seconds / report.elapsed_seconds, 2)
-            if report.elapsed_seconds
-            else None,
-            "errors": len(report.errors),
-        }
-        curve.append(point)
-        speedup_text = (
-            f"{point['speedup_vs_serial']:.2f}x vs serial"
-            if point["speedup_vs_serial"] is not None
-            else "speedup n/a (sub-resolution run)"
-        )
-        print(f"  scaling: {workers} worker(s)  {point['seconds']:.3f}s  {speedup_text}")
-    return {"job_count": len(jobs), "cpus_available": cpus, "curve": curve}
-
-
-def _load_percentile(ordered, q):
-    """Nearest-rank percentile of an ascending-sorted non-empty list."""
-    import math
-
-    rank = max(0, math.ceil(q * len(ordered)) - 1)
-    return ordered[min(rank, len(ordered) - 1)]
-
-
-def _load_test_mode(keep_alive: bool, clients: int, requests_per_client: int) -> dict:
-    """One load-test measurement: N concurrent clients against a fresh server.
-
-    Each client issues ``requests_per_client`` single-job submissions over
-    one :class:`ServiceClient`: mostly warm jobs rotating through a
-    pre-populated pool (the store path) plus one job unique to that client
-    (the cold engine path), so the traffic mixes both regimes mid-flight.
-    Each mode gets its own server and in-memory store -- otherwise the
-    first mode's cold jobs would arrive warm in the second and skew the
-    keep-alive vs close-per-request comparison.
-    """
-    import threading
-
-    from repro.service import ResultStore, ServerThread, ServiceClient, VerificationService
-    from repro.workloads import generate_jobs
-
-    warm_jobs = generate_jobs(8, seed=2015)
-    cold_jobs = generate_jobs(clients, seed=2016)
-    service = VerificationService(store=ResultStore.in_memory(), max_pending=None)
-    with ServerThread(service=service) as server:
-        with ServiceClient(server.base_url) as warmer:
-            warmer.submit_batch(warm_jobs)
-        latencies = []
-        errors = []
-        lock = threading.Lock()
-        start_barrier = threading.Barrier(clients + 1)
-
-        def run_client(client_index: int) -> None:
-            mine = []
-            try:
-                with ServiceClient(server.base_url, keep_alive=keep_alive, timeout=120) as client:
-                    start_barrier.wait()
-                    for request_index in range(requests_per_client):
-                        if request_index == 1:
-                            job = cold_jobs[client_index]
-                        else:
-                            job = warm_jobs[(client_index + request_index) % len(warm_jobs)]
-                        began = time.perf_counter()
-                        client.submit_job(job)
-                        mine.append(time.perf_counter() - began)
-            except Exception as error:  # noqa: BLE001 - recorded, fails the phase
-                with lock:
-                    errors.append(f"client {client_index}: {type(error).__name__}: {error}")
-            with lock:
-                latencies.extend(mine)
-
-        threads = [
-            threading.Thread(target=run_client, args=(index,), daemon=True)
-            for index in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        start_barrier.wait()
-        began = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - began
-        stats = service.stats
-        executed, connections = stats.executed, stats.connections_total
-
-    assert not errors, f"load test had client errors: {errors[:3]}"
-    total = clients * requests_per_client
-    assert len(latencies) == total
-    # Every cold job ran the engine exactly once (plus the warm-pool fill);
-    # everything else was served from the store or an in-flight join.
-    assert executed == len(warm_jobs) + clients, (
-        f"expected {len(warm_jobs) + clients} engine runs, saw {executed}"
-    )
-    ordered = sorted(latencies)
-    return {
-        "keep_alive": keep_alive,
-        "clients": clients,
-        "requests_per_client": requests_per_client,
-        "total_requests": total,
-        "cold_requests": clients,
-        "elapsed_seconds": round(elapsed, 4),
-        "throughput_rps": round(total / elapsed, 2) if elapsed else None,
-        "connections_total": connections,
-        "p50_ms": round(1000 * _load_percentile(ordered, 0.5), 3),
-        "p95_ms": round(1000 * _load_percentile(ordered, 0.95), 3),
-        "p99_ms": round(1000 * _load_percentile(ordered, 0.99), 3),
-    }
-
-
-def run_load_test(smoke: bool) -> dict:
-    """Hammer the HTTP front door with concurrent mixed cold/warm clients.
-
-    Measures the whole serving stack -- connection handling, routing,
-    store-first serving, in-flight dedup -- under the traffic shape the
-    server is built for, once with keep-alive clients and once
-    close-per-request.  Keep-alive must not lose to close-per-request:
-    persistent connections skip the TCP handshake per request, so the ratio
-    is the tentpole's acceptance number (guarded by check_regression.py).
-    """
-    clients = 24 if smoke else 200
-    requests_per_client = 6 if smoke else 8
-    keepalive = _load_test_mode(True, clients, requests_per_client)
-    close = _load_test_mode(False, clients, requests_per_client)
-    ratio = (
-        round(keepalive["throughput_rps"] / close["throughput_rps"], 3)
-        if keepalive["throughput_rps"] and close["throughput_rps"]
-        else None
-    )
-    for name, mode in (("keepalive", keepalive), ("close-per-request", close)):
-        print(
-            f"  load({name}): {mode['clients']} clients x {mode['requests_per_client']}  "
-            f"{mode['throughput_rps']:.0f} rps  p50 {mode['p50_ms']:.1f}ms  "
-            f"p95 {mode['p95_ms']:.1f}ms  p99 {mode['p99_ms']:.1f}ms  "
-            f"({mode['connections_total']} conns)"
-        )
-    print(f"  load: keepalive/close throughput ratio {ratio:.2f}x")
-    return {
-        "clients": clients,
-        "requests_per_client": requests_per_client,
-        "keepalive": keepalive,
-        "close_per_request": close,
-        "keepalive_vs_close_throughput": ratio,
-    }
-
-
 def run_fault_tolerance_benchmark(smoke: bool) -> dict:
     """Cost of the retry machinery on clean runs, and recovery under faults.
 
@@ -744,135 +504,6 @@ def run_fault_tolerance_benchmark(smoke: bool) -> dict:
     }
 
 
-def run_cluster_benchmark(smoke: bool) -> dict:
-    """Fleet throughput: coordinator + runners over one shared keyspace.
-
-    Builds the full distributed topology in-process -- a ``repro store
-    serve`` keyspace on a server thread, two runner nodes whose stores point at it,
-    and a fingerprint-sharded coordinator front door -- and measures:
-
-    * **cold** -- one fan-out execution of the seeded batch across the
-      runner fleet (verdicts asserted identical to a serial single-node
-      run, the distributed tier's acceptance bar);
-    * **warm serve** -- repeated reruns of the same batch through the
-      coordinator, all answered from the shared keyspace.  Best-round
-      throughput is the gated number (check_regression.py): it covers the
-      coordinator's store-first path, the HTTP backend and the keyspace
-      server in one figure.
-    """
-    from repro.service import (
-        CoordinatorService,
-        KeyspaceService,
-        ResultStore,
-        ServerThread,
-        ServiceClient,
-        VerificationService,
-    )
-    from repro.service.runner import BatchRunner
-    from repro.workloads import generate_jobs
-
-    jobs = generate_jobs(12 if smoke else 48, seed=2019)
-    serial = {}
-    for _, result in BatchRunner(workers=1).execute_indexed(jobs):
-        serial[result.fingerprint] = (result.nonempty, result.exhausted)
-    rounds = 3 if smoke else 5
-    with ServerThread(service=KeyspaceService("memory:")) as keyspace:
-        runner_a = ServerThread(
-            service=VerificationService(store=ResultStore.from_url(keyspace.base_url))
-        )
-        runner_b = ServerThread(
-            service=VerificationService(store=ResultStore.from_url(keyspace.base_url))
-        )
-        with runner_a, runner_b:
-            coordinator = ServerThread(
-                service=CoordinatorService(
-                    runners=[runner_a.base_url, runner_b.base_url],
-                    store=ResultStore.from_url(keyspace.base_url),
-                )
-            )
-            with coordinator:
-                with ServiceClient(coordinator.base_url, timeout=300) as client:
-                    began = time.perf_counter()
-                    cold = client.submit_batch(jobs)
-                    cold_seconds = time.perf_counter() - began
-                    verdicts = {
-                        entry["fingerprint"]: (entry["nonempty"], entry["exhausted"])
-                        for entry in cold["results"]
-                    }
-                    assert verdicts == serial, (
-                        "the sharded fleet changed verdicts vs a serial single-node run"
-                    )
-                    assert cold["executed"] == len(jobs)
-                    warm_times = []
-                    for _ in range(rounds):
-                        began = time.perf_counter()
-                        warm = client.submit_batch(jobs)
-                        warm_times.append(time.perf_counter() - began)
-                        assert warm["executed"] == 0, (
-                            "a warm fleet rerun re-executed jobs instead of "
-                            "serving them from the shared keyspace"
-                        )
-                executed_per_runner = [
-                    runner_a.service.stats.executed,
-                    runner_b.service.stats.executed,
-                ]
-    warm_best = min(warm_times)
-    throughput = len(jobs) / warm_best if warm_best > 0 else None
-    print(
-        f"  cluster: {len(jobs)} jobs over 2 runners  cold {cold_seconds:.3f}s  "
-        f"warm {warm_best:.4f}s  warm-serve {throughput:.0f} jobs/s  "
-        f"shard split {executed_per_runner}"
-    )
-    return {
-        "job_count": len(jobs),
-        "runners": 2,
-        "warm_rounds": rounds,
-        "cold_seconds": round(cold_seconds, 4),
-        "warm_best_seconds": round(warm_best, 4),
-        "warm_throughput_jps": round(throughput, 2) if throughput else None,
-        "shard_split": executed_per_runner,
-        "verdicts_match_serial": True,
-    }
-
-
-def run_service_benchmark(smoke: bool) -> dict:
-    """The batch-service record: store-focused, fan-out, and scaling phases.
-
-    The light batch (many tiny heterogeneous jobs) measures the fingerprint
-    store -- its warm rerun is the acceptance-gated >=10x path.  The heavy
-    batch (0.1-1s relational jobs) is where parallel fan-out beats serial
-    execution; it is skipped in smoke mode to keep CI cheap.  The worker
-    scaling curve (1/2/4 workers over one heavy batch) runs in both modes --
-    smaller in smoke -- so the CI artifact carries a multi-core record.
-    """
-    from repro.workloads import generate_jobs
-
-    light_jobs = generate_jobs(10 if smoke else 60, seed=2013)
-    light = _service_comparison(light_jobs, workers=2 if smoke else 4)
-    print(
-        f"  light: {light['job_count']} jobs  serial {light['serial_seconds']:.3f}s  "
-        f"parallel({light['workers']}) {light['parallel_cold_seconds']:.3f}s  "
-        f"warm {light['warm_seconds']:.4f}s  "
-        f"cold/warm {light['cold_vs_warm_speedup']:.0f}x"
-    )
-    record = {"light": light}
-    if not smoke:
-        heavy_jobs = generate_jobs(16, seed=2013, profile="heavy")
-        heavy = _service_comparison(heavy_jobs, workers=4)
-        print(
-            f"  heavy: {heavy['job_count']} jobs  serial {heavy['serial_seconds']:.3f}s  "
-            f"parallel({heavy['workers']}) {heavy['parallel_cold_seconds']:.3f}s  "
-            f"({heavy['serial_vs_parallel_speedup']:.2f}x)  "
-            f"warm {heavy['warm_seconds']:.4f}s"
-        )
-        record["heavy"] = heavy
-    record["scaling"] = run_worker_scaling(smoke)
-    record["load_test"] = run_load_test(smoke)
-    record["fault_tolerance"] = run_fault_tolerance_benchmark(smoke)
-    record["cluster"] = run_cluster_benchmark(smoke)
-    return record
-
-
 # -- suite phase ----------------------------------------------------------------
 
 
@@ -915,9 +546,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--skip-engine", action="store_true", help="skip the engine timing phase"
-    )
-    parser.add_argument(
-        "--skip-service", action="store_true", help="skip the batch service phase"
     )
     parser.add_argument(
         "--skip-stress", action="store_true", help="skip the adversarial stress phase"
@@ -973,10 +601,12 @@ def main(argv=None) -> int:
         telemetry_overhead = run_telemetry_overhead(rounds)
         print("measuring witness-certificate overhead and validator payoff ...")
         certify = run_certify_benchmark(args.smoke, rounds)
+        print("measuring retry-policy overhead and crash recovery ...")
+        fault_tolerance = run_fault_tolerance_benchmark(args.smoke)
         print("checking strategy agreement ...")
         agreement = run_strategy_agreement()
         record = {
-            "schema_version": 5,
+            "schema_version": 6,
             "mode": "smoke" if args.smoke else "full",
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -984,6 +614,7 @@ def main(argv=None) -> int:
             "stress": stress,
             "telemetry": telemetry_overhead,
             "certify": certify,
+            "fault_tolerance": fault_tolerance,
             "strategy_agreement": agreement,
             "cache_stats": cache_stats_snapshot(),
         }
@@ -993,25 +624,6 @@ def main(argv=None) -> int:
         if not all(case["agree"] for case in agreement.values()):
             print("strategy disagreement detected", file=sys.stderr)
             exit_code = exit_code or 1
-
-    if not args.skip_service:
-        print("running batch service benchmark ...")
-        try:
-            service = run_service_benchmark(args.smoke)
-        except AssertionError as error:
-            print(f"service benchmark FAILED: {error}", file=sys.stderr)
-            exit_code = exit_code or 1
-        else:
-            service_record = {
-                "schema_version": 1,
-                "mode": "smoke" if args.smoke else "full",
-                "python": platform.python_version(),
-                "platform": platform.platform(),
-                "service": service,
-            }
-            service_path = args.output_dir / "BENCH_service.json"
-            service_path.write_text(json.dumps(service_record, indent=2) + "\n")
-            print(f"wrote {service_path}")
 
     return exit_code
 

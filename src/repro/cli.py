@@ -173,8 +173,6 @@ def _command_bench(args: argparse.Namespace) -> int:
         forwarded.append("--skip-suite")
     if args.skip_engine:
         forwarded.append("--skip-engine")
-    if args.skip_service:
-        forwarded.append("--skip-service")
     if args.skip_stress:
         forwarded.append("--skip-stress")
     if args.profile:
@@ -234,13 +232,7 @@ def _command_batch(args: argparse.Namespace) -> int:
         # Like traces, certificates are artifacts, not job identity: the
         # fingerprint (and thus store keys / dedup) is unchanged.
         jobs = [dataclasses.replace(job, certificate=True) for job in jobs]
-    try:
-        store = (
-            ResultStore.from_url(args.store, token=_store_token()) if args.store else None
-        )
-    except StoreError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    store = ResultStore.from_url(args.store, token=_store_token()) if args.store else None
     try:
         try:
             runner = BatchRunner(
@@ -419,12 +411,7 @@ def _command_trace(args: argparse.Namespace) -> int:
     if not spec:
         print("trace needs a store: pass --store URL", file=sys.stderr)
         return 2
-    try:
-        store_handle = _open_existing_store(spec)
-    except StoreError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    with store_handle as store:
+    with _open_existing_store(spec) as store:
         result = store.get(args.fingerprint)
         if result is None:
             print(f"no stored verdict for fingerprint {args.fingerprint[:16]!r}", file=sys.stderr)
@@ -476,12 +463,7 @@ def _command_verify(args: argparse.Namespace) -> int:
         if not spec:
             print("verify needs a source: pass --store URL or --url URL", file=sys.stderr)
             return 2
-        try:
-            store_handle = _open_existing_store(spec)
-        except StoreError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        with store_handle as store:
+        with _open_existing_store(spec) as store:
             result = store.get(args.fingerprint)
             if result is None:
                 print(
@@ -537,12 +519,7 @@ def _command_store(args: argparse.Namespace) -> int:
     if not spec:
         print(f"store {args.action} needs a store: pass --store URL", file=sys.stderr)
         return 2
-    try:
-        store_handle = _open_existing_store(spec)
-    except StoreError as error:  # missing file, or a newer schema version
-        print(str(error), file=sys.stderr)
-        return 2
-    with store_handle as store:
+    with _open_existing_store(spec) as store:
         if args.action == "stats":
             export = store.export()
             nonempty = sum(1 for e in export["results"] if e["nonempty"])
@@ -851,7 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--skip-engine", action="store_true", help="skip the engine comparison phase"
     )
-    bench.add_argument("--skip-service", action="store_true", help="skip the batch service phase")
     bench.add_argument(
         "--skip-stress", action="store_true", help="skip the adversarial stress phase"
     )
@@ -879,7 +855,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except StoreError as error:
+        # A missing SQLite file, a newer row schema, or a keyspace that is
+        # unreachable or refuses the call: exit 2 with the reason, no traceback.
+        print(str(error), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -126,9 +126,9 @@ class ServiceClient:
         all its retries; once sleeping again would exceed it the client
         raises instead of sleeping.  ``None`` disables the budget.
     keep_alive:
-        When False, a fresh connection is opened per request (the
-        close-per-request baseline the load-test benchmark compares
-        against).  Default True: one persistent connection is reused.
+        When False, a fresh connection is opened per request (sends
+        ``Connection: close``).  Default True: one persistent connection is
+        reused.
 
     Usable as a context manager; :meth:`close` drops the connection.
     """
@@ -459,13 +459,24 @@ class HTTPBackend:
         path: str,
         payload: Any = None,
         headers: Optional[Mapping[str, str]] = None,
+        *,
+        absent: Optional[int] = None,
     ) -> Any:
+        """One keyspace call; the decoded response body.
+
+        A response with status ``absent`` (404 for a missing key, 412 for a
+        failed precondition) returns None.  Every other error status, and an
+        unreachable server, raises :class:`~repro.errors.StoreError`, the
+        error every backend raises.
+        """
         with self._lock:
-            self._check_schema()
             try:
+                self._check_schema()
                 return self._client.request(method, path, payload, headers=headers)
-            except ServiceError:
-                raise
+            except ServiceError as error:
+                if error.status == absent:
+                    return None
+                raise StoreError(f"keyspace request {error}") from error
             except OSError as error:
                 raise StoreError(
                     f"keyspace server at {self._base_url} unreachable: {error}"
@@ -478,51 +489,27 @@ class HTTPBackend:
         return {field: row.get(field, ROW_DEFAULTS.get(field)) for field in ROW_FIELDS}
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            return self._call("GET", f"/keys/{key}")["row"]
-        except ServiceError as error:
-            if error.status == 404:
-                return None
-            raise StoreError(f"keyspace get({key!r}) failed: {error}") from error
+        response = self._call("GET", f"/keys/{key}", absent=404)
+        return None if response is None else response["row"]
 
     def put(self, key: str, row: Mapping[str, Any]) -> None:
-        try:
-            self._call("PUT", f"/keys/{key}", self._normalize(row))
-        except ServiceError as error:
-            raise StoreError(f"keyspace put({key!r}) failed: {error}") from error
+        self._call("PUT", f"/keys/{key}", self._normalize(row))
 
     def put_if_absent(self, key: str, row: Mapping[str, Any]) -> bool:
-        try:
-            self._call(
-                "PUT", f"/keys/{key}", self._normalize(row), headers={"If-Match": "*"}
-            )
-            return True
-        except ServiceError as error:
-            if error.status == 412:
-                return False
-            raise StoreError(f"keyspace put_if_absent({key!r}) failed: {error}") from error
+        stored = self._call(
+            "PUT", f"/keys/{key}", self._normalize(row), {"If-Match": "*"}, absent=412
+        )
+        return stored is not None
 
     def compare_and_put(
         self, key: str, row: Mapping[str, Any], expected_created_at: float
     ) -> bool:
-        try:
-            self._call(
-                "PUT",
-                f"/keys/{key}",
-                self._normalize(row),
-                headers={"If-Match": repr(float(expected_created_at))},
-            )
-            return True
-        except ServiceError as error:
-            if error.status == 412:
-                return False
-            raise StoreError(f"keyspace compare_and_put({key!r}) failed: {error}") from error
+        precondition = {"If-Match": repr(float(expected_created_at))}
+        stored = self._call("PUT", f"/keys/{key}", self._normalize(row), precondition, absent=412)
+        return stored is not None
 
     def delete(self, key: str) -> bool:
-        try:
-            return bool(self._call("DELETE", f"/keys/{key}")["deleted"])
-        except ServiceError as error:
-            raise StoreError(f"keyspace delete({key!r}) failed: {error}") from error
+        return bool(self._call("DELETE", f"/keys/{key}")["deleted"])
 
     def keys(self) -> List[str]:
         return list(self._call("GET", "/keys")["keys"])

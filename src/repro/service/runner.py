@@ -264,7 +264,10 @@ class BatchRunner:
     server's executor threads do), until :meth:`close`.  ``close()`` also runs
     when the runner is garbage-collected or the interpreter exits, and the
     runner is a context manager that closes on exit.  A closed runner starts
-    no new pool: a later batch that needs one raises ``RuntimeError``.
+    no new pool: a later batch that needs one raises ``RuntimeError``.  Pool
+    workers are always spawn-started: the HTTP server runs batches off
+    executor threads, and forking a multi-threaded process can inherit a
+    lock mid-acquisition.
 
     Parameters
     ----------
@@ -279,17 +282,6 @@ class BatchRunner:
         Per-job wall-clock budget enforced inside workers (Unix only) and,
         in pool mode, by a parent-side deadline of ``timeout + grace`` that
         kills wedged workers the in-worker alarm cannot reach.
-    start_method:
-        ``multiprocessing`` start method for the pool.  The default is
-        ``"spawn"``: the HTTP server runs batches off executor threads, and
-        forking a multi-threaded process can inherit locks mid-acquisition
-        (the classic fork-from-a-thread deadlock).  Spawned workers import
-        the job spec from scratch -- slower to start (~0.5s on this
-        codebase, paid once per runner, not once per batch) but safe under
-        any threading, and the worker entry points are module-level
-        precisely so they pickle under spawn.  Pass ``"fork"`` to recover
-        the old behaviour in single-threaded batch scripts where startup
-        latency dominates.
     retry_policy:
         :class:`RetryPolicy` for transient failures; the default never
         retries, preserving strict one-shot semantics.
@@ -303,23 +295,16 @@ class BatchRunner:
         store: Optional[ResultStore] = None,
         workers: int = 1,
         timeout_seconds: Optional[float] = None,
-        start_method: str = "spawn",
         retry_policy: Optional[RetryPolicy] = None,
         grace_seconds: float = DEFAULT_GRACE_SECONDS,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"unknown start method {start_method!r}; this platform supports "
-                f"{multiprocessing.get_all_start_methods()}"
-            )
         if grace_seconds <= 0:
             raise ValueError("grace_seconds must be positive")
         self._store = store
         self._workers = workers
         self._timeout_seconds = timeout_seconds
-        self._start_method = start_method
         self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._grace_seconds = grace_seconds
         #: Totals over every batch; each batch counts into its own
@@ -363,7 +348,7 @@ class BatchRunner:
             if self._pool is None:
                 _log.debug("starting supervised pool", extra={"workers": self._workers})
                 self._pool = SupervisedPool(
-                    multiprocessing.get_context(self._start_method),
+                    multiprocessing.get_context("spawn"),
                     self._workers,
                     _supervised_entry,
                     grace_seconds=self._grace_seconds,
@@ -386,17 +371,8 @@ class BatchRunner:
 
         pending: List[Tuple[int, VerificationJob]] = []
         for index, job in enumerate(jobs):
-            cached = self._store.get(job.fingerprint) if self._store is not None else None
-            # A traced (or certified) job whose stored verdict lacks the
-            # requested artifact re-executes so it actually gets recorded
-            # (same verdict; the store row is rewritten with the artifact
-            # attached).  A cached empty verdict satisfies a certificate
-            # request -- only nonempty results carry a witness.
-            if cached is not None and not (
-                (job.trace and cached.trace is None)
-                or (job.certificate and cached.nonempty and cached.certificate is None)
-            ):
-                cached.label = cached.label or job.label
+            cached = self._store.cached_for(job) if self._store is not None else None
+            if cached is not None:
                 results[index] = cached
                 report.cache_hits += 1
             else:

@@ -1329,16 +1329,8 @@ class VerificationService(HTTPService):
 
         for index, job in enumerate(jobs):
             fingerprint = job.fingerprint
-            cached = self._store.get(fingerprint) if self._store is not None else None
-            # A traced (or certified) submission of a verdict stored without
-            # the requested artifact re-executes (the verdict is identical;
-            # the run records the trace/certificate and the store row is
-            # rewritten with it attached).
-            if cached is not None and not (
-                (job.trace and cached.trace is None)
-                or (job.certificate and cached.nonempty and cached.certificate is None)
-            ):
-                cached.label = cached.label or job.label
+            cached = self._store.cached_for(job) if self._store is not None else None
+            if cached is not None:
                 counters["store_hits"] += 1
                 self.stats.store_hits += 1
                 job_done(index, cached, "store")
@@ -1520,12 +1512,13 @@ class VerificationService(HTTPService):
             for index, job in sorted(waiting.items()):
                 run_local = False
                 try:
-                    cached = self._store.get(job.fingerprint)
+                    # Remote jobs request no artifact (see _claim_fresh), so
+                    # any stored verdict serves them.
+                    cached = self._store.cached_for(job)
                 except Exception:  # noqa: BLE001 - keyspace down: run it here
                     cached = None
                     run_local = True
                 if cached is not None:
-                    cached.label = cached.label or job.label
                     del waiting[index]
                     yield index, cached, False
                     continue
@@ -2059,29 +2052,21 @@ class VerificationService(HTTPService):
 
 
 def run_server(
-    store: Optional[ResultStore] = None,
-    workers: int = 1,
-    timeout_seconds: Optional[float] = None,
+    service: HTTPService,
     host: str = "127.0.0.1",
     port: int = 8080,
     port_file: Optional[Union[str, Path]] = None,
-    auth_token: Optional[str] = None,
-    max_pending: Optional[int] = DEFAULT_MAX_PENDING,
-    max_connections: int = DEFAULT_MAX_CONNECTIONS,
-    retry_policy: Optional[RetryPolicy] = None,
     drain_timeout: float = 30.0,
-    execute_delay: float = 0.0,
     log_level: Optional[str] = None,
     log_json: bool = False,
-    service: Optional[HTTPService] = None,
 ) -> int:
-    """Run the service until interrupted (the ``repro serve`` entry point).
+    """Run ``service`` until interrupted (``repro serve``, ``repro store serve``).
 
-    ``service`` injects a pre-built service instance -- how the CLI runs a
+    ``service`` is any node kind -- a job node
+    (:class:`VerificationService`), a
     :class:`~repro.service.coordinator.CoordinatorService` or a
-    :class:`~repro.service.keyspace.KeyspaceService` (``repro store serve``)
-    under the same signal handling, drain sequence and port-file plumbing;
-    the other service-construction parameters are then ignored.
+    :class:`~repro.service.keyspace.KeyspaceService` -- and runs under the
+    same signal handling, drain sequence and port-file plumbing.
 
     With ``port=0`` the OS picks a free port; the bound port is printed and,
     when ``port_file`` is given, written there so scripts (the CI smoke job)
@@ -2099,17 +2084,6 @@ def run_server(
     """
     if log_level is not None or log_json:
         telemetry.configure_logging(level=log_level or "info", json_lines=log_json)
-    if service is None:
-        service = VerificationService(
-            store=store,
-            workers=workers,
-            timeout_seconds=timeout_seconds,
-            auth_token=auth_token,
-            max_pending=max_pending,
-            max_connections=max_connections,
-            retry_policy=retry_policy,
-            execute_delay=execute_delay,
-        )
 
     async def _serve() -> int:
         loop = asyncio.get_running_loop()

@@ -216,6 +216,24 @@ class ResultStore:
             certificate=row.get("certificate"),
         )
 
+    def cached_for(self, job: VerificationJob) -> Optional[JobResult]:
+        """The stored verdict that serves ``job``, or None; one :meth:`get`.
+
+        A verdict stored without an artifact the job requests -- its trace,
+        or the certificate of a nonempty verdict (an empty one carries
+        none) -- does not serve it: the job re-executes to the same verdict,
+        and the rewritten row carries the artifact.  A served result takes
+        the job's label when its row has none.
+        """
+        cached = self.get(job.fingerprint)
+        if cached is None or (
+            (job.trace and cached.trace is None)
+            or (job.certificate and cached.nonempty and cached.certificate is None)
+        ):
+            return None
+        cached.label = cached.label or job.label
+        return cached
+
     def put(self, job: VerificationJob, result: JobResult) -> None:
         """Store a completed verdict (errored results are rejected).
 

@@ -67,43 +67,11 @@ __all__ = [
     "reset_worker_counters",
     "note_plan_compilation",
     "plan_compilation_count",
-    "telemetry_enabled",
-    "set_telemetry_enabled",
-    "telemetry_disabled",
     "configure_logging",
     "get_logger",
     "log_context",
     "current_log_context",
 ]
-
-# ---------------------------------------------------------------------------
-# Global on/off switch
-# ---------------------------------------------------------------------------
-
-_telemetry_enabled: bool = True
-
-
-def telemetry_enabled() -> bool:
-    """Whether telemetry ingestion (rollups, worker merges) is active."""
-    return _telemetry_enabled
-
-
-def set_telemetry_enabled(enabled: bool) -> None:
-    global _telemetry_enabled
-    _telemetry_enabled = bool(enabled)
-
-
-@contextmanager
-def telemetry_disabled() -> Iterator[None]:
-    """Run a block with telemetry ingestion off (benchmark baseline mode)."""
-    global _telemetry_enabled
-    previous = _telemetry_enabled
-    _telemetry_enabled = False
-    try:
-        yield
-    finally:
-        _telemetry_enabled = previous
-
 
 # ---------------------------------------------------------------------------
 # Metric primitives
@@ -751,7 +719,7 @@ _worker_totals: Dict[str, Any] = {"jobs": 0, "plan_compilations": 0, "caches": {
 
 def merge_worker_counters(delta: Optional[Dict[str, Any]]) -> None:
     """Fold one worker job's counter delta into the process-wide totals."""
-    if not delta or not _telemetry_enabled:
+    if not delta:
         return
     with _worker_totals_lock:
         _worker_totals["jobs"] += 1
@@ -815,7 +783,7 @@ class EngineRollup:
         self.totals: Dict[str, int] = {field: 0 for field in _ROLLUP_FIELDS}
 
     def record(self, statistics: Optional[Mapping[str, Any]]) -> None:
-        if not statistics or not _telemetry_enabled:
+        if not statistics:
             return
         with self._lock:
             self.jobs += 1

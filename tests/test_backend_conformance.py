@@ -252,6 +252,40 @@ class TestHTTPBackendSpecifics:
                     intruder.get(KEY)
                 intruder.close()
 
+    def test_every_operation_of_a_refused_backend_raises_store_error(self):
+        # Not only the row operations: the scans, clear, count, rows and
+        # checkpoint surface a refusing keyspace as StoreError too.
+        operations = [
+            ("get", (KEY,)),
+            ("put", (KEY, make_row())),
+            ("put_if_absent", (KEY, make_row())),
+            ("compare_and_put", (KEY, make_row(), 1000.0)),
+            ("delete", (KEY,)),
+            ("keys", ()),
+            ("count", ()),
+            ("clear", ()),
+            ("oldest_keys", (5,)),
+            ("expired_keys", (time.time(),)),
+            ("rows", ()),
+            ("checkpoint", ()),
+        ]
+        escaped = []
+        with ServerThread(service=KeyspaceService("memory:", auth_token="sesame")) as server:
+            intruder = HTTPBackend(server.base_url)
+            for name, args in operations:
+                try:
+                    result = getattr(intruder, name)(*args)
+                    if name == "rows":
+                        list(result)
+                except StoreError as error:
+                    assert "401" in str(error), (name, error)
+                except Exception as error:  # noqa: BLE001 - the finding under test
+                    escaped.append(f"{name}: {type(error).__name__}")
+                else:
+                    escaped.append(f"{name}: no error")
+            intruder.close()
+        assert escaped == []
+
     def test_future_schema_refused_at_first_contact(self, monkeypatch):
         """A server speaking a newer row schema is refused, like SQLite files."""
         with ServerThread(service=KeyspaceService("memory:")) as server:

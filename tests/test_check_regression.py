@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-_MODULE_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "check_regression.py"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+_MODULE_PATH = REPO_ROOT / "benchmarks" / "check_regression.py"
 _spec = importlib.util.spec_from_file_location("check_regression", _MODULE_PATH)
 check_regression = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_regression)
@@ -19,6 +20,8 @@ def _record(
     engine=...,
     certify_overhead=2.0,
     certify=...,
+    retry_overhead=1.0,
+    fault_tolerance=...,
 ):
     if engine is ...:
         engine = {workload: {"normalized": normalized}}
@@ -27,7 +30,14 @@ def _record(
             "certificate_overhead_percent": certify_overhead,
             "nonempty": 20,
         }
-    payload = {"mode": "full", "engine": engine, "certify": certify}
+    if fault_tolerance is ...:
+        fault_tolerance = {"retry_overhead_percent": retry_overhead}
+    payload = {
+        "mode": "full",
+        "engine": engine,
+        "certify": certify,
+        "fault_tolerance": fault_tolerance,
+    }
     path.write_text(json.dumps(payload))
     return path
 
@@ -141,123 +151,111 @@ class TestMissingKeysAreHardFailures:
         assert "GUARD FAILURE" in capsys.readouterr().err
 
 
-def _service_record(
-    path,
-    keepalive=500.0,
-    close=450.0,
-    load_test=...,
-    retry_overhead=1.0,
-    fault_tolerance=...,
-    cluster_jps=25.0,
-    cluster=...,
-):
-    if load_test is ...:
-        load_test = {
-            "keepalive": {"throughput_rps": keepalive},
-            "close_per_request": {"throughput_rps": close},
-        }
-    if fault_tolerance is ...:
-        fault_tolerance = {"retry_overhead_percent": retry_overhead}
-    if cluster is ...:
-        cluster = {
-            "warm_throughput_jps": cluster_jps,
-            "verdicts_match_serial": True,
-        }
-    payload = {
-        "mode": "full",
-        "service": {
-            "load_test": load_test,
-            "fault_tolerance": fault_tolerance,
-            "cluster": cluster,
-        },
-    }
-    path.write_text(json.dumps(payload))
-    return path
-
-
-class TestServiceGuard:
-    def test_passes_when_keepalive_holds(self, tmp_path):
-        baseline = _service_record(tmp_path / "b.json")
-        current = _service_record(tmp_path / "c.json", keepalive=480.0, close=430.0)
-        assert check_regression.check_service(baseline, current) == 0
-
-    def test_fails_when_keepalive_loses_to_close(self, tmp_path, capsys):
-        baseline = _service_record(tmp_path / "b.json")
-        current = _service_record(tmp_path / "c.json", keepalive=200.0, close=400.0)
-        assert check_regression.check_service(baseline, current) == 1
-        assert "close-per-request baseline" in capsys.readouterr().err
-
-    def test_fails_when_throughput_collapses(self, tmp_path, capsys):
-        baseline = _service_record(tmp_path / "b.json", keepalive=1000.0)
-        current = _service_record(tmp_path / "c.json", keepalive=5.0, close=5.0)
-        assert check_regression.check_service(baseline, current) == 1
-        assert "floor" in capsys.readouterr().err
-
-    def test_missing_load_test_is_hard_failure(self, tmp_path, capsys):
-        baseline = _service_record(tmp_path / "b.json", load_test=None)
-        current = _service_record(tmp_path / "c.json")
-        assert check_regression.check_service(baseline, current) == 2
-        err = capsys.readouterr().err
-        assert "GUARD FAILURE" in err and "load_test" in err
-
-    def test_missing_mode_throughput_is_hard_failure(self, tmp_path, capsys):
-        baseline = _service_record(tmp_path / "b.json")
-        current = _service_record(
-            tmp_path / "c.json",
-            load_test={"keepalive": {"throughput_rps": 100.0}},
-        )
-        assert check_regression.check_service(baseline, current) == 2
-        assert "close_per_request" in capsys.readouterr().err
-
+class TestFaultToleranceGate:
     def test_fails_when_retry_overhead_blows_past_limit(self, tmp_path, capsys):
-        baseline = _service_record(tmp_path / "b.json")
-        current = _service_record(tmp_path / "c.json", retry_overhead=60.0)
-        assert check_regression.check_service(baseline, current) == 1
+        baseline = _record(tmp_path / "b.json")
+        current = _record(tmp_path / "c.json", retry_overhead=60.0)
+        assert check_regression.check(baseline, current) == 1
         assert "retry policy" in capsys.readouterr().err
 
     def test_negative_retry_overhead_passes(self, tmp_path):
         # Timing noise can make the armed run measure faster than plain.
-        baseline = _service_record(tmp_path / "b.json")
-        current = _service_record(tmp_path / "c.json", retry_overhead=-2.5)
-        assert check_regression.check_service(baseline, current) == 0
+        baseline = _record(tmp_path / "b.json")
+        current = _record(tmp_path / "c.json", retry_overhead=-2.5)
+        assert check_regression.check(baseline, current) == 0
 
     def test_missing_fault_tolerance_is_hard_failure(self, tmp_path, capsys):
-        baseline = _service_record(tmp_path / "b.json")
-        current = _service_record(tmp_path / "c.json", fault_tolerance=None)
-        assert check_regression.check_service(baseline, current) == 2
+        baseline = _record(tmp_path / "b.json")
+        current = _record(tmp_path / "c.json", fault_tolerance=None)
+        assert check_regression.check(baseline, current) == 2
         err = capsys.readouterr().err
         assert "GUARD FAILURE" in err and "fault_tolerance" in err
 
-    def test_fails_when_cluster_throughput_collapses(self, tmp_path, capsys):
-        baseline = _service_record(tmp_path / "b.json", cluster_jps=100.0)
-        current = _service_record(tmp_path / "c.json", cluster_jps=1.0)
-        assert check_regression.check_service(baseline, current) == 1
-        assert "warm-serve" in capsys.readouterr().err
 
-    def test_missing_cluster_is_hard_failure(self, tmp_path, capsys):
-        baseline = _service_record(tmp_path / "b.json")
-        current = _service_record(tmp_path / "c.json", cluster=None)
-        assert check_regression.check_service(baseline, current) == 2
+def _verdict_record(path, medians=None):
+    """A BENCH_verdict.json with a change median of verdicts_per_s per workload."""
+    medians = {"engine_cold": 300.0, "fleet_warm": 250.0} if medians is None else medians
+    workloads = {
+        name: {"metrics": {"verdicts_per_s": {"change": {"median": median}}}}
+        for name, median in medians.items()
+    }
+    path.write_text(json.dumps({"workloads": workloads}))
+    return path
+
+
+def _report(path, verdicts_per_s):
+    """A perfbench report.json; ``None`` leaves verdicts_per_s out."""
+    metrics = {"request_p50_ms": {"value": 10.0, "unit": "ms"}}
+    if verdicts_per_s is not None:
+        metrics["verdicts_per_s"] = {"value": verdicts_per_s, "unit": "1/s"}
+    path.write_text(json.dumps({"details": {}, "metrics": metrics}))
+    return path
+
+
+class TestVerdictGuard:
+    def test_passes_at_or_above_floor(self, tmp_path):
+        baseline = _verdict_record(tmp_path / "b.json")
+        # The floor is 0.1 x the committed 250/s.
+        for value in (25.0, 26.0, 400.0):
+            report = _report(tmp_path / "r.json", value)
+            assert check_regression.check_verdict(baseline, report, "fleet_warm") == 0
+
+    def test_fails_below_floor(self, tmp_path, capsys):
+        # fleet_warm with the keyspace's 44 ms stall read ~16 verdicts/s.
+        baseline = _verdict_record(tmp_path / "b.json")
+        report = _report(tmp_path / "r.json", 16.3)
+        assert check_regression.check_verdict(baseline, report, "fleet_warm") == 1
+        assert "below the floor" in capsys.readouterr().err
+
+    def test_workload_missing_from_record_is_hard_failure(self, tmp_path, capsys):
+        baseline = _verdict_record(tmp_path / "b.json", {"engine_cold": 300.0})
+        report = _report(tmp_path / "r.json", 250.0)
+        assert check_regression.check_verdict(baseline, report, "fleet_warm") == 2
         err = capsys.readouterr().err
-        assert "GUARD FAILURE" in err and "cluster" in err
+        assert "GUARD FAILURE" in err and "fleet_warm" in err and "engine_cold" in err
 
-    def test_cluster_without_verdict_parity_is_hard_failure(self, tmp_path, capsys):
-        baseline = _service_record(tmp_path / "b.json")
-        current = _service_record(
-            tmp_path / "c.json",
-            cluster={"warm_throughput_jps": 50.0, "verdicts_match_serial": False},
-        )
-        assert check_regression.check_service(baseline, current) == 2
+    def test_record_without_change_median_is_hard_failure(self, tmp_path, capsys):
+        baseline = tmp_path / "b.json"
+        baseline.write_text(json.dumps({"workloads": {"fleet_warm": {"metrics": {}}}}))
+        report = _report(tmp_path / "r.json", 250.0)
+        assert check_regression.check_verdict(baseline, report, "fleet_warm") == 2
+        assert "change.median" in capsys.readouterr().err
+
+    def test_report_without_verdicts_per_s_is_hard_failure(self, tmp_path, capsys):
+        baseline = _verdict_record(tmp_path / "b.json")
+        report = _report(tmp_path / "r.json", None)
+        assert check_regression.check_verdict(baseline, report, "fleet_warm") == 2
         err = capsys.readouterr().err
-        assert "GUARD FAILURE" in err and "parity" in err
+        assert "GUARD FAILURE" in err and "verdicts_per_s" in err
 
-    def test_main_kind_service(self, tmp_path):
-        baseline = _service_record(tmp_path / "b.json")
-        current = _service_record(tmp_path / "c.json")
-        code = check_regression.main(
-            ["--kind", "service", "--baseline", str(baseline), "--current", str(current)]
-        )
-        assert code == 0
+    def test_unreadable_report_is_hard_failure(self, tmp_path, capsys):
+        baseline = _verdict_record(tmp_path / "b.json")
+        code = check_regression.check_verdict(baseline, tmp_path / "missing.json", "fleet_warm")
+        assert code == 2
+        assert "GUARD FAILURE" in capsys.readouterr().err
+
+    def test_main_kind_verdict(self, tmp_path):
+        baseline = _verdict_record(tmp_path / "b.json")
+        args = ["--kind", "verdict", "--workload", "engine_cold", "--baseline", str(baseline)]
+        passing = _report(tmp_path / "pass.json", 120.0)
+        failing = _report(tmp_path / "fail.json", 20.0)
+        assert check_regression.main([*args, "--current", str(passing)]) == 0
+        assert check_regression.main([*args, "--current", str(failing)]) == 1
+        # --tolerance applies to the verdict kind too.
+        strict = [*args, "--current", str(passing), "--tolerance", "0.5"]
+        assert check_regression.main(strict) == 1
+
+    @pytest.mark.parametrize("workload", ["engine_cold", "fleet_warm"])
+    def test_committed_record_answers_the_guard(self, tmp_path, workload):
+        # The CI floor reads the committed record: its shape must stay what
+        # the guard reads, and the floor must sit well under the median.
+        baseline = REPO_ROOT / "BENCH_verdict.json"
+        record = json.loads(baseline.read_text())
+        median = record["workloads"][workload]["metrics"]["verdicts_per_s"]["change"]["median"]
+        at_median = _report(tmp_path / "median.json", median)
+        assert check_regression.check_verdict(baseline, at_median, workload) == 0
+        collapsed = _report(tmp_path / "collapsed.json", median * 0.09)
+        assert check_regression.check_verdict(baseline, collapsed, workload) == 1
 
 
 class TestCommandLine:

@@ -1,6 +1,10 @@
 """Tests for the ``repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +256,26 @@ class TestStoreUrls:
             backend.close()
             assert main(["trace", fingerprint, "--store", keyspace.base_url]) == 0
             assert "traceEvents" in capsys.readouterr().out
+
+    def test_refusing_keyspace_is_a_clean_error(self):
+        # An auth-on keyspace and no REPRO_STORE_TOKEN: the reason and exit
+        # 2, as for a missing store file, not a traceback.
+        from repro.service import KeyspaceService, ServerThread
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {key: value for key, value in os.environ.items() if key != "REPRO_STORE_TOKEN"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with ServerThread(service=KeyspaceService("memory:", auth_token="sesame")) as keyspace:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "store", "stats", "--store", keyspace.base_url],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+        assert completed.returncode == 2, completed.stderr
+        assert "401" in completed.stderr
+        assert "Traceback" not in completed.stderr
 
     def test_store_actions_require_a_spec(self, capsys):
         assert main(["store", "stats"]) == 2

@@ -46,10 +46,14 @@ def test_consecutive_batches_reuse_the_same_workers():
     before = _children()
     with BatchRunner(workers=2, timeout_seconds=JOB_TIMEOUT) as runner:
         first = runner.run(first_jobs)
-        workers = set(_new_workers(before))
+        spawned = _new_workers(before)
+        workers = set(spawned)
         second = runner.run(second_jobs)
         assert set(_new_workers(before)) == workers
     assert len(workers) == 2
+    # Spawn, never fork: the server runs batches off executor threads.
+    spawn_process = multiprocessing.get_context("spawn").Process
+    assert all(isinstance(process, spawn_process) for process in spawned.values())
     assert _verdicts(first.results) == _verdicts(BatchRunner().run(first_jobs).results)
     assert _verdicts(second.results) == _verdicts(BatchRunner().run(second_jobs).results)
     assert first.fault_tolerance["worker_respawns"] == 0

@@ -260,21 +260,6 @@ class TestBatchRunner:
         with pytest.raises(ValueError):
             BatchRunner(workers=0)
 
-    def test_spawn_is_default_and_fork_overridable(self):
-        # Spawn is the pool default (the HTTP server runs batches off
-        # executor threads, where forking is unsafe); fork stays available
-        # for single-threaded batch scripts.
-        assert BatchRunner()._start_method == "spawn"
-        jobs = _all_theory_jobs()[:3]
-        spawned = BatchRunner(workers=2, start_method="spawn").run(jobs)
-        forked = BatchRunner(workers=2, start_method="fork").run(jobs)
-        assert spawned.verdicts == forked.verdicts
-        assert not spawned.errors and not forked.errors
-
-    def test_rejects_unknown_start_method(self):
-        with pytest.raises(ValueError):
-            BatchRunner(start_method="teleport")
-
 
 class TestColoredSpecRoundTrip:
     def test_colored_schema_theory(self):

@@ -1,5 +1,6 @@
 """Tests for the pluggable store backends: parity, TTL, eviction, migrations."""
 
+import dataclasses
 import json
 import sqlite3
 import time
@@ -127,6 +128,29 @@ class TestBackendParity:
         assert result.trace is None
         store.put(job, result)
         assert store.get(job.fingerprint).trace is None
+
+
+class TestCachedFor:
+    """The one rule for "a stored verdict serves this job"."""
+
+    def test_missing_artifacts_do_not_serve_and_label_fills_in(self, store):
+        job, result = _decided_job()
+        assert result.nonempty and result.trace is None and result.certificate is None
+        store.put(job, result)
+        gets = store.stats.gets
+        served = store.cached_for(dataclasses.replace(job, label="mine"))
+        assert served.nonempty and served.cached and served.label == "mine"
+        assert store.stats.gets == gets + 1
+        assert store.cached_for(dataclasses.replace(job, trace=True)) is None
+        assert store.cached_for(dataclasses.replace(job, certificate=True)) is None
+
+    def test_empty_verdict_serves_a_certificate_request(self, store):
+        # Only nonempty verdicts carry a witness certificate.
+        job = VerificationJob(triangle_system(), HomTheory(clique_template(2)))
+        result = execute_job(job)
+        assert result.nonempty is False
+        store.put(job, result)
+        assert store.cached_for(dataclasses.replace(job, certificate=True)) is not None
 
 
 class TestRetention:

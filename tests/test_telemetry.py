@@ -184,12 +184,6 @@ class TestEngineCounters:
         assert merged["plan_compilations"] == baseline["plan_compilations"] + 2
         assert merged["caches"]["key"]["hits"] >= 3
 
-    def test_merge_is_inert_when_telemetry_disabled(self):
-        baseline = telemetry.worker_counters_snapshot()
-        with telemetry.telemetry_disabled():
-            telemetry.merge_worker_counters({"plan_compilations": 5, "caches": {}})
-        assert telemetry.worker_counters_snapshot() == baseline
-
 
 class TestEngineRollup:
     STATS = {
@@ -217,11 +211,9 @@ class TestEngineRollup:
         assert payload["engine_seconds"] == pytest.approx(1.0)
         assert payload["candidates_pruned"] == rollup.candidates_pruned
 
-    def test_record_is_inert_for_none_and_when_disabled(self):
+    def test_record_is_inert_for_none(self):
         rollup = EngineRollup()
         rollup.record(None)
-        with telemetry.telemetry_disabled():
-            rollup.record(self.STATS)
         assert rollup.jobs == 0
         assert rollup.as_dict()["configurations_explored"] == 0
 
