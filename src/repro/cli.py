@@ -596,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="per-job wall-clock budget in seconds (Unix only)",
+        help="per-job wall-clock budget in seconds, kept by the engine with "
+        "any --workers count; a job past it ends with error code `timeout`",
     )
     batch.add_argument(
         "--max-configurations",
@@ -682,7 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="per-job wall-clock budget in seconds (Unix, workers > 1 only)",
+        help="per-job wall-clock budget in seconds, kept by the engine with "
+        "any --workers count; a job past it ends with error code `timeout`",
     )
     serve.add_argument(
         "--auth-token",

@@ -44,6 +44,16 @@ class SolverError(ReproError):
     """The emptiness solver was configured or invoked incorrectly."""
 
 
+class SearchTimeout(ReproError):
+    """The emptiness search passed its deadline; ``statistics`` are its counters then."""
+
+    def __init__(self, statistics) -> None:
+        super().__init__(
+            f"the search passed its deadline after {statistics.configurations_explored} pops"
+        )
+        self.statistics = statistics
+
+
 class AutomatonError(ReproError):
     """A word or tree automaton definition is inconsistent."""
 

@@ -73,6 +73,14 @@ cover their keys, caller-supplied strategies, systems with an accepting
 initial state) drains the same stream before the first pop, which is the
 eager search.  Verdicts, ``exhausted``, ``configurations_explored`` and
 witnesses are identical either way.
+
+A deadline
+----------
+``check(..., deadline=...)`` raises :class:`~repro.errors.SearchTimeout` once
+an absolute :func:`time.monotonic` instant has passed.  The search reads the
+clock once per pop, once per seed taken and once every 64th candidate of a
+drive (never once per candidate), and a search that finishes in time is the
+same search without a deadline.
 """
 
 from __future__ import annotations
@@ -81,7 +89,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from repro.errors import SolverError
+from repro.errors import SearchTimeout, SolverError
 from repro.fraisse.base import (
     CandidateDelta,
     DatabaseTheory,
@@ -246,14 +254,19 @@ class EmptinessSolver:
     # -- main entry point ------------------------------------------------------
 
     def check(
-        self, system: DatabaseDrivenSystem, trace: Optional[TraceRecorder] = None
+        self,
+        system: DatabaseDrivenSystem,
+        trace: Optional[TraceRecorder] = None,
+        deadline: Optional[float] = None,
     ) -> EmptinessResult:
         """Is there a database in the theory's class driving an accepting run?
 
         ``trace``, when given, records timed spans for the solver phases
         (plan compilation, per-transition drives, witness reconstruction)
         and frontier milestones; untraced runs only pay ``trace is None``
-        predicates.
+        predicates.  ``deadline``, when given, is a :func:`time.monotonic`
+        instant past which the search raises
+        :class:`~repro.errors.SearchTimeout` (see the module docstring).
         """
         if not system.schema.is_subschema_of(self._theory.schema):
             raise SolverError(
@@ -296,6 +309,8 @@ class EmptinessSolver:
         else:
             seeded_states = frozenset()
             for _, (state, seed) in seeds:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise SearchTimeout(stats)
                 taken = self._take_seed(state, seed, visited, stats)
                 if taken is None:
                     continue
@@ -307,6 +322,8 @@ class EmptinessSolver:
                 stats.max_frontier_size = max(stats.max_frontier_size, len(frontier))
 
         while goal is None:
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout(stats)
             stats.max_frontier_size = max(stats.max_frontier_size, len(frontier))
             if pending is not None and pending.due():
                 taken = self._take_seed(*pending.take(), visited, stats)
@@ -349,6 +366,7 @@ class EmptinessSolver:
                     visited,
                     seeded_states,
                     stats,
+                    deadline,
                 )
                 if trace is not None:
                     trace.add_span(
@@ -403,6 +421,7 @@ class EmptinessSolver:
         visited: Dict[Tuple[str, Hashable], int],
         seeded_states: FrozenSet[str],
         stats: SearchStatistics,
+        deadline: Optional[float],
     ) -> Optional[_SearchNode]:
         """Drive one transition's compiled plan over the theory's deltas.
 
@@ -410,7 +429,7 @@ class EmptinessSolver:
         successor database exists, and only undecided (UNKNOWN) guards build
         the candidate for the authoritative evaluation on the full database;
         every other candidate is built only once its key is new (see
-        :meth:`_admit_candidate`).
+        :meth:`_admit_candidate`).  ``deadline`` is checked every 64th candidate.
         """
         theory = self._theory
         plan = plan_set.plan_for(transition)
@@ -418,6 +437,12 @@ class EmptinessSolver:
         for delta in theory.enumerate_deltas(system, node.config, transition, plan):
             stats.candidates_generated += 1
             plan_stats.deltas_enumerated += 1
+            if (
+                deadline is not None
+                and not stats.candidates_generated & 63
+                and time.monotonic() > deadline
+            ):
+                raise SearchTimeout(stats)
             status = delta.guard_status
             if status is False:
                 plan_stats.rejected_pre_materialization += 1

@@ -15,8 +15,9 @@ scans for eviction.  A future Redis or HTTP backend maps onto it directly
 (``GET``/``SET``/``DEL`` of a serialized row, a sorted set on ``created_at``
 for the scans) without the store layer changing.
 
-TTL and eviction *policy* live in :class:`ResultStore`; backends only supply
-the mechanisms (timestamp scans and deletes).  Schema versioning is a
+TTL and eviction *policy* live in :class:`ResultStore` and the keyspace
+server, which share one expiry rule (:func:`row_expired`); backends only
+supply the mechanisms (timestamp scans and deletes).  Schema versioning is a
 backend concern: :class:`SQLiteBackend` records its schema version in
 SQLite's ``user_version`` pragma and upgrades older ``results`` tables in
 place through ordered migration hooks (see :data:`SQLITE_MIGRATIONS`).
@@ -84,6 +85,18 @@ ROW_DEFAULTS = {"cacheable": 1}
 #: keyspace wire protocol advertises it in discovery so a networked client
 #: can refuse rows from a newer server instead of silently dropping fields.
 ROW_SCHEMA_VERSION = 5
+
+
+def row_expired(row: Mapping[str, Any], now: float, ttl_seconds: Optional[float]) -> bool:
+    """Has ``row`` aged out at wall-clock time ``now``?
+
+    It has once ``now >= expires_at`` (per-row expiry, checked first), or once
+    ``created_at < now - ttl_seconds`` (the cutoff ``expired_keys`` scans with).
+    """
+    expires_at = row.get("expires_at")
+    if expires_at is not None and now >= expires_at:
+        return True
+    return ttl_seconds is not None and row["created_at"] < now - ttl_seconds
 
 
 class StoreBackend(Protocol):

@@ -92,9 +92,6 @@ class CoordinatorService(VerificationService):
         self,
         runners: Sequence[str],
         runner_token: Optional[str] = None,
-        forward_timeout: float = DEFAULT_FORWARD_TIMEOUT_SECONDS,
-        forward_retries: int = 2,
-        unhealthy_cooldown: float = DEFAULT_UNHEALTHY_COOLDOWN_SECONDS,
         **kwargs: Any,
     ) -> None:
         urls = []
@@ -110,9 +107,6 @@ class CoordinatorService(VerificationService):
         super().__init__(**kwargs)
         self._runner_urls: List[str] = urls
         self._runner_token = runner_token
-        self._forward_timeout = forward_timeout
-        self._forward_retries = forward_retries
-        self._unhealthy_cooldown = unhealthy_cooldown
         self._health_lock = threading.Lock()
         self._cooldown_until: Dict[str, float] = {}
         # Forwarding threads touch these counters concurrently; ServiceStats
@@ -164,7 +158,7 @@ class CoordinatorService(VerificationService):
 
     def _mark_failed(self, url: str, error: Exception) -> None:
         with self._health_lock:
-            self._cooldown_until[url] = time.monotonic() + self._unhealthy_cooldown
+            self._cooldown_until[url] = time.monotonic() + DEFAULT_UNHEALTHY_COOLDOWN_SECONDS
         with self._fleet_stats_lock:
             self.stats.runner_failovers += 1
         _log.warning(
@@ -294,8 +288,8 @@ class CoordinatorService(VerificationService):
         client = ServiceClient(
             url,
             auth_token=self._runner_token,
-            timeout=self._forward_timeout,
-            retries=self._forward_retries,
+            timeout=DEFAULT_FORWARD_TIMEOUT_SECONDS,
+            retries=2,  # load-shed retries before the runner counts as failed
         )
         try:
             report = client.submit_batch(jobs, wait=True, include_fingerprints=True)
@@ -344,7 +338,7 @@ class CoordinatorService(VerificationService):
             client = ServiceClient(
                 url,
                 auth_token=self._runner_token,
-                timeout=min(self._forward_timeout, 5.0),
+                timeout=5.0,
                 retries=0,
             )
             try:
@@ -428,7 +422,7 @@ class CoordinatorService(VerificationService):
             client = ServiceClient(
                 url,
                 auth_token=self._runner_token,
-                timeout=self._forward_timeout,
+                timeout=DEFAULT_FORWARD_TIMEOUT_SECONDS,
                 retries=0,
             )
             try:

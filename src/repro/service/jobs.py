@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import signal
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.certify import build_certificate, encode_certificate
+from repro.errors import SearchTimeout
 from repro.fraisse.base import DatabaseTheory
 from repro.fraisse.engine import EmptinessSolver
 from repro.service.specs import theory_from_spec, theory_to_spec
@@ -37,7 +37,7 @@ DEFAULT_JOB_MAX_CONFIGURATIONS = 20_000
 #: these: transient infrastructure failures are retryable, deterministic
 #: failures of the job itself are not (retrying would reproduce them).
 JOB_ERROR_CODES = {
-    "timeout": "the in-worker wall-clock budget elapsed mid-run (retryable)",
+    "timeout": "the engine passed the job's wall-clock budget mid-search (retryable)",
     "deadline-exceeded": (
         "the parent-side deadline (timeout + grace) elapsed with no result; "
         "the worker was killed (retryable)"
@@ -237,30 +237,17 @@ class JobResult:
         )
 
 
-class JobTimeout(Exception):
-    """Raised inside a worker when a job exceeds its wall-clock budget."""
-
-
 def execute_job(job: VerificationJob, timeout_seconds: Optional[float] = None) -> JobResult:
-    """Run one job to completion, capturing errors and (on Unix) timeouts.
+    """Run one job to completion, capturing errors and timeouts.
 
-    The timeout uses ``SIGALRM`` and therefore only fires when executing on
-    the main thread of a (worker) process; elsewhere it is silently skipped
-    and the engine's ``max_configurations`` cap remains the only bound.
+    ``timeout_seconds`` is the job's wall-clock budget from this call on.
+    The engine keeps it (:meth:`EmptinessSolver.check`'s ``deadline``), so it
+    holds on any thread of any process; a search that passes it ends as a
+    ``timeout`` result.
     """
     fingerprint = job.fingerprint
     start = time.perf_counter()
-    use_alarm = bool(timeout_seconds) and hasattr(signal, "SIGALRM")
-    previous_handler = None
-    if use_alarm:
-        def _on_alarm(signum, frame):
-            raise JobTimeout(f"job exceeded {timeout_seconds}s")
-
-        try:
-            previous_handler = signal.signal(signal.SIGALRM, _on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, float(timeout_seconds))
-        except ValueError:  # not on the main thread
-            use_alarm = False
+    deadline = time.monotonic() + timeout_seconds if timeout_seconds else None
     try:
         solver = EmptinessSolver(
             job.theory,
@@ -268,7 +255,7 @@ def execute_job(job: VerificationJob, timeout_seconds: Optional[float] = None) -
             strategy=job.strategy,
         )
         recorder = TraceRecorder() if job.trace else None
-        result = solver.check(job.system, trace=recorder)
+        result = solver.check(job.system, trace=recorder, deadline=deadline)
         certificate = None
         if job.certificate and result.run is not None:
             certificate = encode_certificate(
@@ -288,12 +275,12 @@ def execute_job(job: VerificationJob, timeout_seconds: Optional[float] = None) -
             trace=recorder.as_dict() if recorder is not None else None,
             certificate=certificate,
         )
-    except JobTimeout as exc:
+    except SearchTimeout:
         return JobResult(
             fingerprint=fingerprint,
             label=job.label,
             elapsed_seconds=time.perf_counter() - start,
-            error=f"timeout: {exc}",
+            error=f"timeout: job exceeded {timeout_seconds}s",
             error_code="timeout",
         )
     except Exception as exc:  # noqa: BLE001 - batch jobs must not kill the runner
@@ -306,8 +293,3 @@ def execute_job(job: VerificationJob, timeout_seconds: Optional[float] = None) -
             # retrying reproduces them, so they classify as non-retryable.
             error_code="engine-error",
         )
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            if previous_handler is not None:
-                signal.signal(signal.SIGALRM, previous_handler)

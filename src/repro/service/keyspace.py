@@ -48,6 +48,7 @@ from repro.service.backends import (
     ROW_SCHEMA_VERSION,
     StoreBackend,
     backend_from_url,
+    row_expired,
 )
 from repro.service.server import API_VERSION, ApiError, HTTPService, Request, error_envelope
 
@@ -156,15 +157,9 @@ class KeyspaceService(HTTPService):
 
     # -- policy ------------------------------------------------------------------
 
-    def _expired_row(self, row: Mapping[str, Any], now: float) -> bool:
-        expires_at = row.get("expires_at")
-        if expires_at is not None and now >= expires_at:
-            return True
-        return self._ttl is not None and row["created_at"] < now - self._ttl
-
     def _reap(self, key: str, row: Mapping[str, Any], now: float) -> bool:
         """Delete ``row`` if it has aged out; True when it was reaped."""
-        if not self._expired_row(row, now):
+        if not row_expired(row, now, self._ttl):
             return False
         self._backend.delete(key)
         self._expired.inc()
@@ -299,7 +294,7 @@ class KeyspaceService(HTTPService):
         if route == "/rows":
             self._require(method, "GET", route)
             now = time.time()
-            rows = [row for row in self._backend.rows() if not self._expired_row(row, now)]
+            rows = [row for row in self._backend.rows() if not row_expired(row, now, self._ttl)]
             self._ops.inc(op="rows", outcome="ok")
             return 200, {"rows": rows}, {}
         if route == "/scan/oldest":

@@ -59,7 +59,7 @@ _log = telemetry.get_logger("runner")
 WorkerPayload = Tuple[Dict[str, Any], str, Optional[float], Dict[str, str]]
 
 #: Parent-side grace margin added to the per-job timeout before a worker is
-#: declared wedged and killed (the in-worker alarm gets first shot).
+#: declared wedged and killed (the engine's own deadline gets first shot).
 DEFAULT_GRACE_SECONDS = 5.0
 
 
@@ -279,9 +279,9 @@ class BatchRunner:
         the calling process -- the reference behaviour parallel runs must
         reproduce verdict-for-verdict.
     timeout_seconds:
-        Per-job wall-clock budget enforced inside workers (Unix only) and,
-        in pool mode, by a parent-side deadline of ``timeout + grace`` that
-        kills wedged workers the in-worker alarm cannot reach.
+        Per-job wall-clock budget, kept by the engine in this process or a
+        pool worker alike: a job past it ends as a ``timeout`` result.  A
+        pool also kills a worker wedged past ``timeout + grace``.
     retry_policy:
         :class:`RetryPolicy` for transient failures; the default never
         retries, preserving strict one-shot semantics.

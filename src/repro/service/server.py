@@ -100,8 +100,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from repro import telemetry
 from repro.errors import ReproError
 from repro.service.jobs import JobResult, VerificationJob
-from repro.service.runner import DEFAULT_GRACE_SECONDS, BatchReport, BatchRunner, RetryPolicy
-from repro.service.store import DEFAULT_CLAIM_TTL_SECONDS, ResultStore
+from repro.service.runner import BatchReport, BatchRunner, RetryPolicy
+from repro.service.store import ResultStore
 
 _log = telemetry.get_logger("serve")
 
@@ -420,9 +420,9 @@ class HTTPService:
         <token>`` or ``X-Auth-Token: <token>``; comparison is constant-time.
     max_connections:
         Open-connection cap; over-cap connects get ``503`` and are closed.
-    idle_timeout / read_timeout:
-        Keep-alive idle budget between requests / read budget within one
-        request (see the module constants for the defaults).
+    idle_timeout:
+        Keep-alive idle budget between requests; the read budget within
+        one request is :data:`READ_TIMEOUT_SECONDS`.
     retry_after:
         Integer seconds advertised in ``Retry-After`` on 429/503 responses.
     """
@@ -439,7 +439,6 @@ class HTTPService:
         auth_token: Optional[str] = None,
         max_connections: int = DEFAULT_MAX_CONNECTIONS,
         idle_timeout: float = IDLE_TIMEOUT_SECONDS,
-        read_timeout: float = READ_TIMEOUT_SECONDS,
         retry_after: int = 1,
     ) -> None:
         if max_connections < 1:
@@ -447,7 +446,6 @@ class HTTPService:
         self._auth_token = auth_token
         self._max_connections = max_connections
         self._idle_timeout = idle_timeout
-        self._read_timeout = read_timeout
         self._retry_after = retry_after
         self._open_connections = 0
         self._draining = False
@@ -638,7 +636,7 @@ class HTTPService:
         if not request_line:
             return None
         return await asyncio.wait_for(
-            self._read_request_rest(request_line, reader, writer), timeout=self._read_timeout
+            self._read_request_rest(request_line, reader, writer), timeout=READ_TIMEOUT_SECONDS
         )
 
     async def _read_request_rest(
@@ -908,10 +906,10 @@ class VerificationService(HTTPService):
         first batch that needs it, serves every later one, concurrent
         batches included, and stops in :meth:`stop`.
     timeout_seconds:
-        Per-job wall-clock budget, enforced inside pool workers (Unix only,
-        and only when ``workers > 1`` -- single-worker execution runs on an
-        executor thread where ``SIGALRM`` cannot fire).
-    auth_token / max_connections / idle_timeout / read_timeout / retry_after:
+        Per-job wall-clock budget, kept by the engine whether the job runs
+        on an executor thread (``workers=1``) or in a pool worker; a job
+        past it answers with error code ``timeout`` (see :class:`BatchRunner`).
+    auth_token / max_connections / idle_timeout / retry_after:
         The transport's settings (see :class:`HTTPService`).
     max_pending:
         Admission-gate size for work-bearing requests (``POST /v1/jobs``).
@@ -922,9 +920,6 @@ class VerificationService(HTTPService):
         :class:`~repro.service.runner.RetryPolicy` for transient job
         failures (worker crashes, deadline kills, timeouts); the default
         never retries.
-    grace_seconds:
-        Parent-side margin over ``timeout_seconds`` before a pool worker is
-        declared wedged and killed (see :class:`BatchRunner`).
     execute_delay:
         Artificial pre-execution delay in seconds.  A test/benchmark aid:
         it widens the in-flight window so concurrent duplicate submissions
@@ -935,13 +930,8 @@ class VerificationService(HTTPService):
         identical submissions to *different* nodes sharing one keyspace
         still execute once.  ``None`` (default) auto-enables it exactly
         when the store is a shared remote keyspace; claims are pointless
-        on a process-private store.
-    node_id:
-        Name this node signs its cluster claims with; defaults to a random
-        tag.  Surfaced in discovery so operators can map claims to nodes.
-    claim_ttl:
-        Seconds a cluster claim blocks duplicate execution before other
-        nodes may take it over (the damage bound of a node dying mid-job).
+        on a process-private store.  The node signs its claims with a
+        random ``node-xxxxxxxx`` tag, shown in discovery as ``node_id``.
     """
 
     #: What this node answers for ``role`` in discovery; the coordinator
@@ -959,14 +949,10 @@ class VerificationService(HTTPService):
         max_pending: Optional[int] = DEFAULT_MAX_PENDING,
         max_connections: int = DEFAULT_MAX_CONNECTIONS,
         idle_timeout: float = IDLE_TIMEOUT_SECONDS,
-        read_timeout: float = READ_TIMEOUT_SECONDS,
         retry_after: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
-        grace_seconds: float = DEFAULT_GRACE_SECONDS,
         execute_delay: float = 0.0,
         cluster_dedup: Optional[bool] = None,
-        node_id: Optional[str] = None,
-        claim_ttl: float = DEFAULT_CLAIM_TTL_SECONDS,
     ) -> None:
         if max_pending is not None and max_pending < 0:
             raise ValueError("max_pending must be >= 0 (or None to disable shedding)")
@@ -974,7 +960,6 @@ class VerificationService(HTTPService):
             auth_token=auth_token,
             max_connections=max_connections,
             idle_timeout=idle_timeout,
-            read_timeout=read_timeout,
             retry_after=retry_after,
         )
         self._store = store
@@ -982,8 +967,7 @@ class VerificationService(HTTPService):
         if cluster_dedup is None:
             cluster_dedup = store is not None and store.is_shared
         self._cluster_dedup = bool(cluster_dedup) and store is not None
-        self._node_id = node_id or f"node-{uuid.uuid4().hex[:8]}"
-        self._claim_ttl = claim_ttl
+        self._node_id = f"node-{uuid.uuid4().hex[:8]}"
         # The runner carries the store so settle() can delegate write-back to
         # BatchRunner.record (bounded retries + non-cacheable error rows);
         # the server itself only calls execute_indexed, which never touches
@@ -993,7 +977,6 @@ class VerificationService(HTTPService):
             workers=workers,
             timeout_seconds=timeout_seconds,
             retry_policy=retry_policy,
-            grace_seconds=grace_seconds,
         )
         self._executor = ThreadPoolExecutor(
             max_workers=max(4, workers), thread_name_prefix="repro-serve"
@@ -1378,10 +1361,9 @@ class VerificationService(HTTPService):
 
             def settle_cluster(local_index: int, result: JobResult) -> None:
                 # Another node sharing the keyspace executed the job; the
-                # verdict arrived through the store, not the local engine.
+                # verdict arrived through the store (``cached_for`` labels
+                # it), not the local engine.
                 index, job, future = fresh[local_index]
-                if job.label and job.label != result.label:
-                    result = dataclasses.replace(result, label=job.label)
                 counters["cluster_joins"] += 1
                 self.stats.cluster_joins += 1
                 self._executing_jobs -= 1
@@ -1480,9 +1462,7 @@ class VerificationService(HTTPService):
                 local.append(index)
                 continue
             try:
-                won = self._store.try_claim(
-                    job, owner=self._node_id, ttl_seconds=self._claim_ttl
-                )
+                won = self._store.try_claim(job, owner=self._node_id)
             except Exception as exc:  # noqa: BLE001 - claims are best-effort
                 _log.warning(
                     "cluster claim failed; executing locally",
@@ -1524,9 +1504,7 @@ class VerificationService(HTTPService):
                     continue
                 if not run_local:
                     try:
-                        run_local = self._store.try_claim(
-                            job, owner=self._node_id, ttl_seconds=self._claim_ttl
-                        )
+                        run_local = self._store.try_claim(job, owner=self._node_id)
                     except Exception:  # noqa: BLE001
                         run_local = True
                 if run_local:

@@ -40,6 +40,7 @@ from repro.service.backends import (
     SQLiteBackend,
     StoreBackend,
     backend_from_url,
+    row_expired,
 )
 from repro.service.jobs import JobResult, VerificationJob
 
@@ -171,12 +172,7 @@ class ResultStore:
         row = self._backend.get(fingerprint)
         if row is None:
             return None
-        now = time.time()
-        expires_at = row.get("expires_at")
-        expired = expires_at is not None and now > expires_at
-        if not expired and self._ttl_seconds is not None:
-            expired = row["created_at"] < now - self._ttl_seconds
-        if expired:
+        if row_expired(row, time.time(), self._ttl_seconds):
             if self._backend.delete(fingerprint):
                 self.stats.ttl_expirations += 1
             return None
@@ -222,8 +218,8 @@ class ResultStore:
         A verdict stored without an artifact the job requests -- its trace,
         or the certificate of a nonempty verdict (an empty one carries
         none) -- does not serve it: the job re-executes to the same verdict,
-        and the rewritten row carries the artifact.  A served result takes
-        the job's label when its row has none.
+        and the rewritten row carries the artifact.  A served result carries
+        the job's label, or the row's when the job has none.
         """
         cached = self.get(job.fingerprint)
         if cached is None or (
@@ -231,7 +227,7 @@ class ResultStore:
             or (job.certificate and cached.nonempty and cached.certificate is None)
         ):
             return None
-        cached.label = cached.label or job.label
+        cached.label = job.label or cached.label
         return cached
 
     def put(self, job: VerificationJob, result: JobResult) -> None:
@@ -387,12 +383,7 @@ class ResultStore:
             # The competing row vanished between the two calls (expired and
             # reaped, or deleted); one more absent-insert decides it.
             return self._backend.put_if_absent(job.fingerprint, row)
-        now = time.time()
-        expires_at = current.get("expires_at")
-        expired = expires_at is not None and now > expires_at
-        if not expired and self._ttl_seconds is not None:
-            expired = current["created_at"] < now - self._ttl_seconds
-        if expired or (
+        if row_expired(current, time.time(), self._ttl_seconds) or (
             not current.get("cacheable", 1)
             and current.get("error_code") != CLAIM_ERROR_CODE
         ):

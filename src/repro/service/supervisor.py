@@ -2,9 +2,9 @@
 
 ``multiprocessing.Pool`` has no equivalent of ``BrokenProcessPool``: when a
 spawn worker is OOM-killed or segfaults mid-job, ``imap_unordered`` simply
-never yields that job and the parent hangs forever.  The in-worker SIGALRM
-budget cannot help — a dead process runs no signal handlers.  This module
-replaces the pool with explicit supervision:
+never yields that job and the parent hangs forever.  The engine's own
+deadline cannot help — a dead process checks nothing.  This module replaces
+the pool with explicit supervision:
 
 * **persistent workers** — ``processes`` long-lived spawn workers serve every
   batch submitted to the pool, so the spawn cost (a fresh interpreter
@@ -18,10 +18,10 @@ replaces the pool with explicit supervision:
   reported ``started`` never ran its task, which is handed to the next
   worker unchanged;
 * **parent-side deadlines** — a task with a timeout gets a parent-side
-  deadline of ``timeout + grace``: the in-worker alarm fires first in the
-  healthy case, and the parent kills the worker outright when the alarm
-  could not (wedged C loop, blocked syscall, suspended process) and emits a
-  ``deadline`` event;
+  deadline of ``timeout + grace``: the engine stops at its own deadline
+  first in the healthy case, and the parent kills the worker outright when
+  the engine could not (wedged C loop, blocked syscall, suspended process)
+  and emits a ``deadline`` event;
 * **per-batch routing** — each submitter opens a :class:`PoolBatch`.  Tasks
   are keyed by batch, index and attempt, and every event goes to the batch
   that submitted the task, so concurrent batches (the HTTP server's executor

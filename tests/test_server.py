@@ -13,6 +13,7 @@ once on a job node through the `Test*` class that has always held them,
 and once on a keyspace (`repro store serve`) through `TestKeyspaceTransport`.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -488,6 +489,17 @@ class TestInFlightDedup:
         assert served == ["batch-dedup", "batch-dedup", "engine"]
         verdicts = {result["nonempty"] for result in report["results"]}
         assert len(verdicts) == 1
+
+    def test_a_store_hit_carries_the_submitters_label(self, server):
+        # A served result carries its submitter's label, whether it came
+        # from the store or from a join.
+        job = generate_jobs(1, seed=21)[0]
+        with ServiceClient(server.base_url) as client:
+            first = client.submit_batch([dataclasses.replace(job, label="alice")])
+            second = client.submit_batch([dataclasses.replace(job, label="bob")])
+        assert first["results"][0]["label"] == "alice"
+        (result,) = second["results"]
+        assert (result["served_from"], result["label"]) == ("store", "bob")
 
 
 class TestBatchEvents:

@@ -12,6 +12,7 @@ from repro.library import triangle_system
 from repro.relational import GRAPH_SCHEMA, AllDatabasesTheory, HomTheory, clique_template
 from repro.service import (
     JobResult,
+    KeyspaceService,
     MemoryBackend,
     ResultStore,
     SQLiteBackend,
@@ -203,6 +204,30 @@ class TestRetention:
             assert pairs[0][0].fingerprint not in store
             assert pairs[1][0].fingerprint in store
             assert pairs[2][0].fingerprint in store
+
+    def test_a_row_is_gone_at_its_expires_at_instant_everywhere(self, monkeypatch):
+        # One expiry rule: at now == expires_at the row is absent, from a
+        # local store and from the keyspace server alike.
+        job, result = _decided_job()
+        failed = dataclasses.replace(
+            result, nonempty=None, error="worker-crashed: test", error_code="worker-crashed"
+        )
+        clock = [1_000_000.0]
+        monkeypatch.setattr(time, "time", lambda: clock[0])
+        store = ResultStore.in_memory()
+        store.put_error(job, failed, ttl_seconds=5.0)
+        row = store.backend.get(job.fingerprint)
+        keyspace = KeyspaceService(MemoryBackend())
+        keyspace.backend.put(job.fingerprint, row)
+        path = f"/keys/{job.fingerprint}"
+
+        clock[0] = row["expires_at"] - 0.001
+        assert store.get(job.fingerprint, include_errors=True) is not None
+        assert keyspace.handle("GET", path, None, {})[0] == 200
+        clock[0] = row["expires_at"]
+        assert store.get(job.fingerprint, include_errors=True) is None
+        assert keyspace.handle("GET", path, None, {})[0] == 404
+        keyspace.close()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
