@@ -14,7 +14,8 @@ Two phases, both optional:
   most of the machine's speed, so records from different machines compare.
   Every verdict is checked against a fixed expectation.  Results --
   including the per-plan statistics (pre-materialization rejections,
-  compiled-guard hits) and a cross-check that all three search strategies
+  compiled-guard hits), the memo counts of the recorded run's theory
+  (``statistics.caches``) and a cross-check that all three search strategies
   agree on the e1-e3 example systems -- are written to ``BENCH_engine.json``,
   the perf trajectory baseline for future changes.  The adversarial ``stress`` phase
   (deep HOM guard templates, wide tree branching; see
@@ -69,7 +70,6 @@ from repro import (  # noqa: E402
 )
 from repro.fraisse.search import STRATEGY_NAMES  # noqa: E402
 from repro.library import odd_red_cycle_system, triangle_system  # noqa: E402
-from repro.perf import cache_stats_snapshot, reset_cache_stats  # noqa: E402
 from repro.relational.csp import COLORED_GRAPH_SCHEMA, GRAPH_SCHEMA  # noqa: E402
 from repro.systems.dds import DatabaseDrivenSystem  # noqa: E402
 from repro.trees import TreeRunTheory, tree_schema, universal_automaton  # noqa: E402
@@ -168,9 +168,8 @@ def _timed_record(name: str, workload: dict, rounds: int, max_configurations: in
     for _ in range(rounds):
         calibration_times.append(_time_calibration())
         times.append(_time_check(workload["theory"], system, max_configurations))
-    result = EmptinessSolver(workload["theory"](), max_configurations=max_configurations).check(
-        system
-    )
+    theory = workload["theory"]()
+    result = EmptinessSolver(theory, max_configurations=max_configurations).check(system)
     assert result.nonempty == workload["expected_nonempty"], (
         f"{name}: engine verdict {result.nonempty} does not match the expected "
         f"answer {workload['expected_nonempty']}"
@@ -190,7 +189,9 @@ def _timed_record(name: str, workload: dict, rounds: int, max_configurations: in
         "seconds": round(seconds, 4),
         "calibration_seconds": round(calibration, 4),
         "normalized": round(seconds / calibration, 3),
-        "statistics": result.statistics.as_dict(),
+        # The memo counts of the recorded run's theory, as a service job
+        # result carries them.
+        "statistics": {**result.statistics.as_dict(), "caches": theory.memo_counts()},
     }
 
 
@@ -604,7 +605,6 @@ def main(argv=None) -> int:
     if not args.skip_engine:
         rounds = args.rounds if args.rounds is not None else (2 if args.smoke else 3)
         print("running engine timings ...")
-        reset_cache_stats()
         engine = run_engine_comparison(rounds)
         stress = {}
         if not args.skip_stress:
@@ -619,7 +619,7 @@ def main(argv=None) -> int:
         print("checking strategy agreement ...")
         agreement = run_strategy_agreement()
         record = {
-            "schema_version": 6,
+            "schema_version": 7,
             "mode": "smoke" if args.smoke else "full",
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -629,7 +629,6 @@ def main(argv=None) -> int:
             "certify": certify,
             "fault_tolerance": fault_tolerance,
             "strategy_agreement": agreement,
-            "cache_stats": cache_stats_snapshot(),
         }
         engine_path = args.output_dir / "BENCH_engine.json"
         engine_path.write_text(json.dumps(record, indent=2) + "\n")

@@ -46,10 +46,6 @@ from repro.relational import (
     clique_template,
     odd_red_cycle_free_template,
 )
-from repro.perf import (
-    cache_stats_snapshot,
-    reset_cache_stats,
-)
 from repro.service import (
     BatchReport,
     BatchRunner,
@@ -94,8 +90,6 @@ __all__ = [
     "HomTheory",
     "clique_template",
     "odd_red_cycle_free_template",
-    "cache_stats_snapshot",
-    "reset_cache_stats",
     "VerificationJob",
     "JobResult",
     "ResultStore",

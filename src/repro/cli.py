@@ -24,7 +24,7 @@ a remote keyspace served by ``repro store serve``.
   with the engine-independent validator (:mod:`repro.certify`);
 * ``repro bench`` -- shortcut to the unified benchmark runner (equivalent to
   ``python benchmarks/run_all.py`` when running from a checkout);
-* ``repro info`` -- version, available strategies, engine cache counters.
+* ``repro info`` -- version and available search strategies.
 
 The CLI exists so deployments installed via ``pip install -e .`` have a
 stable executable without the ``PYTHONPATH=src`` workaround.
@@ -63,7 +63,6 @@ from repro.library import (
     self_loop_required_system,
     triangle_system,
 )
-from repro.perf import cache_stats_snapshot
 from repro.relational.csp import COLORED_GRAPH_SCHEMA, GRAPH_SCHEMA
 from repro.service import BatchRunner, ResultStore, RetryPolicy
 from repro.service.server import DEFAULT_MAX_CONNECTIONS, DEFAULT_MAX_PENDING
@@ -182,29 +181,11 @@ def _command_bench(args: argparse.Namespace) -> int:
 
 
 def _command_info(args: argparse.Namespace) -> int:
-    stats = {
-        name: values
-        for name, values in cache_stats_snapshot().items()
-        if values["hits"] + values["misses"] > 0
-    }
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "version": __version__,
-                    "strategies": list(STRATEGY_NAMES),
-                    "cache_stats": stats,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({"version": __version__, "strategies": list(STRATEGY_NAMES)}, indent=2))
         return 0
     print(f"repro {__version__}")
     print(f"  search strategies: {', '.join(STRATEGY_NAMES)}")
-    if stats:
-        print("  cache stats:")
-        for name, values in stats.items():
-            print(f"    {name}: {values}")
     return 0
 
 
@@ -848,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.set_defaults(handler=_command_bench)
 
-    info = subparsers.add_parser("info", help="version, strategies and engine cache counters")
+    info = subparsers.add_parser("info", help="version and search strategies")
     info.add_argument("--json", action="store_true", help="machine-readable output")
     info.set_defaults(handler=_command_info)
     return parser

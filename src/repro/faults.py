@@ -33,7 +33,7 @@ Fault points wired into the service:
 ``worker.crash``     the pool worker ``os._exit``\\ s mid-job (hard kill)
 ``worker.hang``      the pool worker sleeps past every deadline
 ``store.put``        a result-store write raises :class:`FaultInjected`
-``server.delay``     the HTTP server sleeps before writing a response
+``server.delay``     a node sleeps before it executes a fresh job group
 ===================  ==========================================================
 """
 

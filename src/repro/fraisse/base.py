@@ -34,6 +34,7 @@ from repro.errors import StructureError
 from repro.logic.schema import Schema
 from repro.logic.structures import Element, Structure, sorted_key_list
 from repro.logic.threevalued import UNKNOWN
+from repro.perf import BoundedCache, add_counts
 from repro.systems.dds import DatabaseDrivenSystem, Transition
 
 
@@ -325,6 +326,22 @@ class DatabaseTheory(ABC):
             plan = TransitionPlan(transition, compiled_guard_for(self, transition.guard))
             plans[transition.guard] = plan
         return plan
+
+    def memo_counts(self) -> Dict[str, Dict[str, int]]:
+        """Hits, misses and evictions of this instance's memo tables, by table name.
+
+        Covers every :class:`~repro.perf.BoundedCache` the instance holds,
+        the compiled guards :func:`~repro.fraisse.plans.compiled_guard_for`
+        hangs on it included, and those of a theory it wraps; tables of one
+        name add up.  The counts cover every search on the instance so far.
+        """
+        totals: Dict[str, Dict[str, int]] = {}
+        for value in vars(self).values():
+            if isinstance(value, BoundedCache):
+                add_counts(totals, {value.name: value.counts()})
+            elif isinstance(value, DatabaseTheory):
+                add_counts(totals, value.memo_counts())
+        return totals
 
     # -- abstraction ----------------------------------------------------------
 

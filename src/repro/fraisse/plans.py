@@ -66,7 +66,6 @@ from repro.logic.terms import FuncTerm, Term, Var
 from repro.logic.threevalued import UNKNOWN, compile_three_valued, unknown_node
 from repro.perf import BoundedCache
 from repro.systems.dds import NEW_SUFFIX, OLD_SUFFIX, Transition
-from repro.telemetry import note_plan_compilation
 
 #: Argument slot of a template atom: ("old" | "new", register name).
 TemplateSlot = Tuple[str, str]
@@ -335,7 +334,6 @@ def compile_guard(
         evaluator = compile_three_valued(
             _reorder_by_selectivity(guard), _AtomCompiler(schema, function_symbols)
         )
-    note_plan_compilation()
     return CompiledGuard(
         guard,
         evaluator,

@@ -234,8 +234,3 @@ def abstraction_key_score(key: Any, _depth: int = 0) -> int:
     if isinstance(key, (tuple, frozenset, list)):
         return sum(abstraction_key_score(item, _depth + 1) for item in key) + 1
     return 1
-
-
-def iter_strategy_names() -> Iterable[str]:
-    """The canonical names of the built-in strategies."""
-    return STRATEGY_NAMES

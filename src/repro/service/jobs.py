@@ -178,13 +178,19 @@ class JobResult:
     #: when the job asked for one and the verdict is nonempty; served via the
     #: witness endpoint, never inlined here.
     certificate: Optional[str] = None
-    #: Engine counter deltas measured in a pool worker, merged into the
-    #: parent's telemetry and stripped before the result is stored/served.
-    worker_counters: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    def serves(self, job: VerificationJob) -> bool:
+        """Whether this result answers ``job``: it carries every artifact the
+        job asks for -- its trace, and the certificate of a nonempty verdict
+        (an empty one carries none)."""
+        return not (
+            (job.trace and self.trace is None)
+            or (job.certificate and self.nonempty and self.certificate is None)
+        )
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -64,7 +64,14 @@ DEFAULT_GRACE_SECONDS = 5.0
 
 
 def _execute_payload(payload: WorkerPayload) -> JobResult:
-    """Worker entry point (top-level so it pickles under any start method)."""
+    """Rebuild one job from its spec and run it, in this process or a pool worker.
+
+    A completed result carries the memo counts of the job's theory in
+    ``statistics["caches"]`` (:meth:`~repro.fraisse.base.DatabaseTheory.memo_counts`):
+    plan priming, the search and the certificate build, all on the one
+    theory this call built.  They travel with the result from a pool worker
+    like every other engine counter.
+    """
     spec, fingerprint, timeout_seconds, log_fields = payload
     began = time.perf_counter()
     with telemetry.log_context(**log_fields):
@@ -83,28 +90,23 @@ def _execute_payload(payload: WorkerPayload) -> JobResult:
         # theory and die with it: a pool worker outlives many jobs.
         prime_plans(job.system, job.theory)
         result = execute_job(job, timeout_seconds=timeout_seconds)
+        if result.ok:
+            result.statistics["caches"] = job.theory.memo_counts()
     result.wall_seconds = time.perf_counter() - began
     return result
 
 
 def _supervised_entry(payload: WorkerPayload, attempt: int) -> JobResult:
-    """Pool-worker entry point: fault hooks + engine-counter measurement.
+    """Pool-worker entry point: the fault hooks, then :func:`_execute_payload`.
 
     This only ever runs inside a supervised worker process, so it hosts the
-    destructive fault points (``worker.crash`` hard-kills the process,
-    ``worker.hang`` wedges it past its deadline) and measures the engine
-    counter movement the job caused there; the parent folds the delta into
-    its own telemetry -- counters in a child process are otherwise invisible
-    to ``/v1/metrics``.
+    destructive fault points: ``worker.crash`` hard-kills the process,
+    ``worker.hang`` wedges it past its deadline.
     """
     fingerprint = payload[1]
     faults.crash_point("worker.crash", key=fingerprint, attempt=attempt)
     faults.hang_point("worker.hang", key=fingerprint, attempt=attempt)
-    before = telemetry.engine_counters_snapshot()
     result = _execute_payload(payload)
-    result.worker_counters = telemetry.engine_counters_delta(
-        before, telemetry.engine_counters_snapshot()
-    )
     result.attempts = attempt
     return result
 
@@ -529,10 +531,7 @@ class BatchRunner:
     def _event_result(self, event: PoolEvent, job: VerificationJob, tally: RunnerStats) -> JobResult:
         """Convert one supervision event into a (possibly errored) result."""
         if event.kind == "done":
-            result = event.result
-            telemetry.merge_worker_counters(result.worker_counters)
-            result.worker_counters = None
-            return result
+            return event.result
         if event.kind == "crashed":
             tally.worker_crashes += 1
             return JobResult(

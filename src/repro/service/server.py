@@ -12,7 +12,9 @@ always-on endpoint hardened for sustained mixed cold/warm traffic:
   ``asyncio.Future`` per fingerprint, later submissions await that future
   instead of executing.  Combined with the store this guarantees each
   fingerprint runs the engine at most once per server lifetime (TTL expiry
-  aside), no matter how many clients ask.
+  aside), no matter how many clients ask -- unless a submission asks for an
+  artifact (trace, certificate) the earlier run did not record: a join
+  then runs fresh, as a store hit without the artifact does.
 * **Non-blocking execution.**  Fresh jobs run on the worker pool of the
   service's one :class:`~repro.service.runner.BatchRunner`, which stays up
   from the first pooled batch until :meth:`VerificationService.stop` and
@@ -42,8 +44,8 @@ always-on endpoint hardened for sustained mixed cold/warm traffic:
   counts, per-endpoint latency percentiles (p50/p95/p99 over a sliding
   window), store counters and a cumulative engine search rollup;
   ``GET /v1/metrics`` exports the whole stack -- service counters, request
-  latency, engine cache/plan/search families, store counters and
-  worker-pool totals -- through one :class:`~repro.telemetry.MetricsRegistry`
+  latency, engine search and memo-table families, store counters and
+  worker-pool supervision -- through one :class:`~repro.telemetry.MetricsRegistry`
   in Prometheus text exposition format.  Jobs submitted with
   ``"trace": true`` persist a solver trace served by
   ``GET /v1/jobs/{fingerprint}/trace``; structured JSON logs with
@@ -82,6 +84,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import hmac
 import json
 import math
@@ -95,10 +98,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from http import HTTPStatus
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro import telemetry
+from repro import faults, telemetry
 from repro.errors import ReproError
+from repro.perf import COUNT_FIELDS
 from repro.service.jobs import JobResult, VerificationJob
 from repro.service.runner import BatchReport, BatchRunner, RetryPolicy
 from repro.service.store import ResultStore
@@ -885,10 +889,6 @@ class BatchRecord:
         self._waiters.append(waiter)
         await waiter
 
-    async def wait_completed(self) -> None:
-        while not self.completed:
-            await self.wait_change()
-
 
 class VerificationService(HTTPService):
     """The job node: dedup, store, executor bridge and the job routes.
@@ -920,10 +920,6 @@ class VerificationService(HTTPService):
         :class:`~repro.service.runner.RetryPolicy` for transient job
         failures (worker crashes, deadline kills, timeouts); the default
         never retries.
-    execute_delay:
-        Artificial pre-execution delay in seconds.  A test/benchmark aid:
-        it widens the in-flight window so concurrent duplicate submissions
-        demonstrably share one execution.
     cluster_dedup:
         Extend the in-flight dedup domain fleet-wide through the store's
         claim rows (see :meth:`ResultStore.try_claim`), so concurrent
@@ -951,7 +947,6 @@ class VerificationService(HTTPService):
         idle_timeout: float = IDLE_TIMEOUT_SECONDS,
         retry_after: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
-        execute_delay: float = 0.0,
         cluster_dedup: Optional[bool] = None,
     ) -> None:
         if max_pending is not None and max_pending < 0:
@@ -982,7 +977,6 @@ class VerificationService(HTTPService):
             max_workers=max(4, workers), thread_name_prefix="repro-serve"
         )
         self._max_pending = max_pending
-        self._execute_delay = execute_delay
         self._pending = 0
         self._executing_jobs = 0
         self._inflight: Dict[str, asyncio.Future] = {}
@@ -995,30 +989,10 @@ class VerificationService(HTTPService):
         """Wire every non-counter metric family into the registry.
 
         Gauges and engine/store/worker counters are callback-driven: they
-        read live service state (or the process-wide telemetry counters) at
-        scrape time, so the hot paths carry no metrics bookkeeping at all.
+        read live service state at scrape time, so the hot paths carry no
+        metrics bookkeeping at all.
         """
         registry = self.registry
-
-        def engine_cache_field(field: str):
-            def read() -> Dict[str, int]:
-                caches = telemetry.engine_counters_snapshot()["caches"]
-                return {name: counters[field] for name, counters in caches.items()}
-
-            return read
-
-        def worker_cache_field(field: str):
-            def read() -> Dict[str, int]:
-                caches = telemetry.worker_counters_snapshot()["caches"]
-                return {name: counters[field] for name, counters in caches.items()}
-
-            return read
-
-        def worker_total(field: str):
-            def read() -> int:
-                return telemetry.worker_counters_snapshot()[field]
-
-            return read
 
         def store_total(field: str):
             def read() -> int:
@@ -1119,56 +1093,6 @@ class VerificationService(HTTPService):
             (),
             runner_total("store_put_retries"),
         )
-        # -- engine counters (this process) ---------------------------------------
-        registry.counter_callback(
-            "repro_engine_cache_hits_total",
-            "Engine bounded-cache hits in this process, by cache.",
-            ("cache",),
-            engine_cache_field("hits"),
-        )
-        registry.counter_callback(
-            "repro_engine_cache_misses_total",
-            "Engine bounded-cache misses in this process, by cache.",
-            ("cache",),
-            engine_cache_field("misses"),
-        )
-        registry.counter_callback(
-            "repro_engine_cache_evictions_total",
-            "Engine bounded-cache evictions in this process, by cache.",
-            ("cache",),
-            engine_cache_field("evictions"),
-        )
-        registry.counter_callback(
-            "repro_plan_compilations_total",
-            "Transition guard plans compiled in this process.",
-            (),
-            telemetry.plan_compilation_count,
-        )
-        # -- worker-pool counters (marshalled back from worker processes) ---------
-        registry.counter_callback(
-            "repro_worker_jobs_total",
-            "Jobs executed inside pool worker processes.",
-            (),
-            worker_total("jobs"),
-        )
-        registry.counter_callback(
-            "repro_worker_plan_compilations_total",
-            "Guard plans compiled inside pool worker processes.",
-            (),
-            worker_total("plan_compilations"),
-        )
-        registry.counter_callback(
-            "repro_worker_cache_hits_total",
-            "Engine cache hits inside pool worker processes, by cache.",
-            ("cache",),
-            worker_cache_field("hits"),
-        )
-        registry.counter_callback(
-            "repro_worker_cache_misses_total",
-            "Engine cache misses inside pool worker processes, by cache.",
-            ("cache",),
-            worker_cache_field("misses"),
-        )
         # -- store counters -------------------------------------------------------
         registry.counter_callback(
             "repro_store_gets_total", "Store lookups.", (), store_total("gets")
@@ -1243,6 +1167,13 @@ class VerificationService(HTTPService):
             (),
             rollup_total("guard_rejections"),
         )
+        for field in COUNT_FIELDS:
+            registry.counter_callback(
+                f"repro_engine_cache_{field}_total",
+                f"Engine memo-table {field} across completed jobs, by cache.",
+                ("cache",),
+                functools.partial(self.engine_rollup.cache_counts, field),
+            )
 
     # -- job parsing -------------------------------------------------------------
 
@@ -1279,7 +1210,12 @@ class VerificationService(HTTPService):
 
         Returns results aligned with ``jobs`` as ``(result, served_from)``
         pairs, ``served_from`` being ``"store"``, ``"inflight"``,
-        ``"batch-dedup"`` or ``"engine"``, plus the request-level counters.
+        ``"batch-dedup"``, ``"cluster"`` or ``"engine"``, plus the
+        request-level counters.  A joined result serves a job only if it
+        carries every artifact the job asks for (:meth:`JobResult.serves`,
+        the rule the store applies to its rows); a job it does not serve
+        goes round again and runs fresh, as after a store row without the
+        artifact.
         """
         loop = asyncio.get_running_loop()
         counters = {
@@ -1290,9 +1226,6 @@ class VerificationService(HTTPService):
             "cluster_joins": 0,
         }
         slots: List[Optional[Tuple[JobResult, str]]] = [None] * len(jobs)
-        joins: List[Tuple[int, asyncio.Future, str]] = []
-        fresh: List[Tuple[int, VerificationJob, asyncio.Future]] = []
-        fresh_fingerprints: Dict[str, int] = {}
         self.stats.jobs_received += len(jobs)
 
         def job_done(index: int, result: JobResult, served_from: str) -> None:
@@ -1310,123 +1243,145 @@ class VerificationService(HTTPService):
                     }
                 )
 
-        for index, job in enumerate(jobs):
-            fingerprint = job.fingerprint
-            cached = self._store.cached_for(job) if self._store is not None else None
-            if cached is not None:
-                counters["store_hits"] += 1
-                self.stats.store_hits += 1
-                job_done(index, cached, "store")
-                continue
-            existing = self._inflight.get(fingerprint)
-            if existing is not None:
-                if fingerprint in fresh_fingerprints:
+        pending = list(range(len(jobs)))
+        while pending:
+            joins: List[Tuple[int, asyncio.Future, str]] = []
+            fresh: List[Tuple[int, VerificationJob, asyncio.Future]] = []
+            fresh_fingerprints = set()
+            for index in pending:
+                job = jobs[index]
+                fingerprint = job.fingerprint
+                cached = self._store.cached_for(job) if self._store is not None else None
+                if cached is not None:
+                    counters["store_hits"] += 1
+                    self.stats.store_hits += 1
+                    job_done(index, cached, "store")
+                    continue
+                existing = self._inflight.get(fingerprint)
+                if existing is not None:
+                    kind = "batch-dedup" if fingerprint in fresh_fingerprints else "inflight"
+                    joins.append((index, existing, kind))
+                    continue
+                future = loop.create_future()
+                self._inflight[fingerprint] = future
+                fresh_fingerprints.add(fingerprint)
+                fresh.append((index, job, future))
+
+            if fresh:
+                await self._execute_group(fresh, counters, job_done)
+
+            pending = []
+            for index, future, served_from in joins:
+                result: JobResult = await future
+                job = jobs[index]
+                if not result.serves(job):
+                    pending.append(index)
+                    continue
+                if served_from == "batch-dedup":
                     counters["batch_dedup"] += 1
                     self.stats.batch_dedup += 1
-                    joins.append((index, existing, "batch-dedup"))
                 else:
                     counters["inflight_joins"] += 1
                     self.stats.inflight_joins += 1
-                    joins.append((index, existing, "inflight"))
-                continue
-            future = loop.create_future()
-            self._inflight[fingerprint] = future
-            fresh_fingerprints[fingerprint] = index
-            fresh.append((index, job, future))
-
-        if fresh:
-            fresh_jobs = [job for _, job, _ in fresh]
-
-            def settle(local_index: int, result: JobResult) -> None:
-                # Runs on the event-loop thread: the only store writer.  The
-                # future MUST resolve whatever happens here -- an unresolved
-                # in-flight future hangs this request and every later
-                # submission of the same fingerprint.
-                index, job, future = fresh[local_index]
-                # record() writes verdicts with bounded retries, records
-                # transient failures as non-cacheable rows, and never raises
-                # -- a cache write failure must not lose a computed verdict.
-                self._runner.record(job, result)
-                counters["executed"] += 1
-                self.stats.executed += 1
-                if result.certificate is not None:
-                    self.stats.certificates_recorded += 1
-                self._executing_jobs -= 1
-                if result.ok:
-                    self.engine_rollup.record(result.statistics)
-                self._inflight.pop(job.fingerprint, None)
-                if not future.done():
-                    future.set_result(result)
-                job_done(index, result, "engine")
-
-            def settle_cluster(local_index: int, result: JobResult) -> None:
-                # Another node sharing the keyspace executed the job; the
-                # verdict arrived through the store (``cached_for`` labels
-                # it), not the local engine.
-                index, job, future = fresh[local_index]
-                counters["cluster_joins"] += 1
-                self.stats.cluster_joins += 1
-                self._executing_jobs -= 1
-                self._inflight.pop(job.fingerprint, None)
-                if not future.done():
-                    future.set_result(result)
-                job_done(index, result, "cluster")
-
-            def settle_failure(exc: BaseException) -> None:
-                for local_index, (index, job, future) in enumerate(fresh):
-                    if future.done():
-                        continue
-                    result = JobResult(
-                        fingerprint=job.fingerprint,
-                        label=job.label,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    self._executing_jobs -= 1
-                    self._inflight.pop(job.fingerprint, None)
-                    future.set_result(result)
-                    job_done(index, result, "engine")
-
-            # Correlation fields (request id, fingerprint) must be captured
-            # here: run_group executes on a plain executor thread, outside
-            # this coroutine's contextvars.
-            log_fields = telemetry.current_log_context()
-            self._executing_jobs += len(fresh)
-
-            def run_group() -> None:
-                # Runs on an executor thread; the loop never blocks on the
-                # engine.  Each completion is marshalled back to the loop.
-                if self._execute_delay:
-                    time.sleep(self._execute_delay)
-                try:
-                    with telemetry.log_context(**log_fields):
-                        local, remote = self._claim_fresh(fresh_jobs)
-                        if local:
-                            group = [fresh_jobs[i] for i in local]
-                            for group_index, result in self._execute_fresh(group):
-                                loop.call_soon_threadsafe(settle, local[group_index], result)
-                        for local_index, result, executed in self._await_cluster(
-                            remote, fresh_jobs
-                        ):
-                            loop.call_soon_threadsafe(
-                                settle if executed else settle_cluster, local_index, result
-                            )
-                except BaseException as exc:  # noqa: BLE001 - becomes errored results
-                    loop.call_soon_threadsafe(settle_failure, exc)
-
-            await loop.run_in_executor(self._executor, run_group)
-            # The group thread has finished enqueueing settle callbacks;
-            # awaiting the futures drains whatever is still queued.
-            for _, _, future in fresh:
-                await future
-
-        for index, future, served_from in joins:
-            result: JobResult = await future
-            if jobs[index].label and jobs[index].label != result.label:
-                result = dataclasses.replace(result, label=jobs[index].label)
-            job_done(index, result, served_from)
+                if job.label and job.label != result.label:
+                    result = dataclasses.replace(result, label=job.label)
+                job_done(index, result, served_from)
 
         assert all(slot is not None for slot in slots)
         return [slot for slot in slots if slot is not None], counters
+
+    async def _execute_group(
+        self,
+        fresh: List[Tuple[int, VerificationJob, asyncio.Future]],
+        counters: Dict[str, int],
+        job_done: Callable[[int, JobResult, str], None],
+    ) -> None:
+        """Run ``(index, job, in-flight future)`` triples off the loop; settle each."""
+        loop = asyncio.get_running_loop()
+        fresh_jobs = [job for _, job, _ in fresh]
+
+        def settle(local_index: int, result: JobResult) -> None:
+            # Runs on the event-loop thread: the only store writer.  The
+            # future MUST resolve whatever happens here -- an unresolved
+            # in-flight future hangs this request and every later
+            # submission of the same fingerprint.
+            index, job, future = fresh[local_index]
+            # record() writes verdicts with bounded retries, records
+            # transient failures as non-cacheable rows, and never raises
+            # -- a cache write failure must not lose a computed verdict.
+            self._runner.record(job, result)
+            counters["executed"] += 1
+            self.stats.executed += 1
+            if result.certificate is not None:
+                self.stats.certificates_recorded += 1
+            self._executing_jobs -= 1
+            if result.ok:
+                self.engine_rollup.record(result.statistics)
+            self._inflight.pop(job.fingerprint, None)
+            if not future.done():
+                future.set_result(result)
+            job_done(index, result, "engine")
+
+        def settle_cluster(local_index: int, result: JobResult) -> None:
+            # Another node sharing the keyspace executed the job; the
+            # verdict arrived through the store (``cached_for`` labels
+            # it), not the local engine.
+            index, job, future = fresh[local_index]
+            counters["cluster_joins"] += 1
+            self.stats.cluster_joins += 1
+            self._executing_jobs -= 1
+            self._inflight.pop(job.fingerprint, None)
+            if not future.done():
+                future.set_result(result)
+            job_done(index, result, "cluster")
+
+        def settle_failure(exc: BaseException) -> None:
+            for index, job, future in fresh:
+                if future.done():
+                    continue
+                result = JobResult(
+                    fingerprint=job.fingerprint,
+                    label=job.label,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+                self._executing_jobs -= 1
+                self._inflight.pop(job.fingerprint, None)
+                future.set_result(result)
+                job_done(index, result, "engine")
+
+        # Correlation fields (request id, fingerprint) must be captured
+        # here: run_group executes on a plain executor thread, outside
+        # this coroutine's contextvars.
+        log_fields = telemetry.current_log_context()
+        self._executing_jobs += len(fresh)
+
+        def run_group() -> None:
+            # Runs on an executor thread; the loop never blocks on the
+            # engine.  Each completion is marshalled back to the loop.
+            try:
+                faults.delay_point(
+                    "server.delay", key=" ".join(job.fingerprint for job in fresh_jobs)
+                )
+                with telemetry.log_context(**log_fields):
+                    local, remote = self._claim_fresh(fresh_jobs)
+                    if local:
+                        group = [fresh_jobs[i] for i in local]
+                        for group_index, result in self._execute_fresh(group):
+                            loop.call_soon_threadsafe(settle, local[group_index], result)
+                    for local_index, result, executed in self._await_cluster(
+                        remote, fresh_jobs
+                    ):
+                        loop.call_soon_threadsafe(
+                            settle if executed else settle_cluster, local_index, result
+                        )
+            except BaseException as exc:  # noqa: BLE001 - becomes errored results
+                loop.call_soon_threadsafe(settle_failure, exc)
+
+        await loop.run_in_executor(self._executor, run_group)
+        # The group thread has finished enqueueing settle callbacks;
+        # awaiting the futures drains whatever is still queued.
+        for _, _, future in fresh:
+            await future
 
     # -- fresh-execution hooks (executor-thread side) ----------------------------
 

@@ -215,17 +215,14 @@ class ResultStore:
     def cached_for(self, job: VerificationJob) -> Optional[JobResult]:
         """The stored verdict that serves ``job``, or None; one :meth:`get`.
 
-        A verdict stored without an artifact the job requests -- its trace,
-        or the certificate of a nonempty verdict (an empty one carries
-        none) -- does not serve it: the job re-executes to the same verdict,
-        and the rewritten row carries the artifact.  A served result carries
-        the job's label, or the row's when the job has none.
+        A verdict stored without an artifact the job requests
+        (:meth:`JobResult.serves`) does not serve it: the job re-executes to
+        the same verdict, and the rewritten row carries the artifact.  A
+        served result carries the job's label, or the row's when the job has
+        none.
         """
         cached = self.get(job.fingerprint)
-        if cached is None or (
-            (job.trace and cached.trace is None)
-            or (job.certificate and cached.nonempty and cached.certificate is None)
-        ):
+        if cached is None or not cached.serves(job):
             return None
         cached.label = job.label or cached.label
         return cached
@@ -392,22 +389,6 @@ class ResultStore:
             return self._backend.compare_and_put(
                 job.fingerprint, row, current["created_at"]
             )
-        return False
-
-    def release_claim(self, fingerprint: str, owner: str = "") -> bool:
-        """Drop ``owner``'s claim without writing a verdict (failure paths).
-
-        Only removes a row that still *is* this owner's claim; a verdict or
-        another node's claim written since is left untouched.
-        """
-        current = self._backend.get(fingerprint)
-        if (
-            current is not None
-            and not current.get("cacheable", 1)
-            and current.get("error_code") == CLAIM_ERROR_CODE
-            and current.get("error") == owner
-        ):
-            return self._backend.delete(fingerprint)
         return False
 
     def _evict_excess(self) -> None:

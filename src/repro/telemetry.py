@@ -6,14 +6,14 @@ runner, HTTP front door):
 **Metrics.**  :class:`MetricsRegistry` holds named counters, gauges and
 summaries with Prometheus-style labels and renders the text exposition
 format (0.0.4) consumed by ``GET /v1/metrics``.  Collection is pull-based:
-hot paths never touch the registry.  Engine-side numbers are ingested from
-existing snapshots (:func:`repro.perf.cache_stats_snapshot`, the solver's
-``SearchStatistics``) at scrape or job-completion time, so the instrumented
-engine runs the exact same code as before -- zero overhead when nobody
-scrapes.  :func:`validate_exposition` is a lint-style checker for the
-rendered text (``# HELP``/``# TYPE`` pairing, label escaping, summary
-``_sum``/``_count`` consistency) used by the test suite against every
-exposition the server produces.
+hot paths never touch the registry.  Engine-side numbers are folded from
+each finished job's statistics (the solver's ``SearchStatistics`` and its
+theory's memo counts) into an :class:`EngineRollup` at job-completion time,
+so the instrumented engine runs the exact same code as before -- zero
+overhead when nobody scrapes.  :func:`validate_exposition` is a lint-style
+checker for the rendered text (``# HELP``/``# TYPE`` pairing, label
+escaping, summary ``_sum``/``_count`` consistency) used by the test suite
+against every exposition the server produces.
 
 **Traces.**  :class:`TraceRecorder` is an opt-in span recorder the solver
 threads through one search (plan compilation, per-transition drives,
@@ -47,7 +47,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.perf import cache_stats_snapshot
+from repro.perf import add_counts
 
 __all__ = [
     "MetricsRegistry",
@@ -60,13 +60,6 @@ __all__ = [
     "TraceRecorder",
     "chrome_trace",
     "EngineRollup",
-    "engine_counters_snapshot",
-    "engine_counters_delta",
-    "merge_worker_counters",
-    "worker_counters_snapshot",
-    "reset_worker_counters",
-    "note_plan_compilation",
-    "plan_compilation_count",
     "configure_logging",
     "get_logger",
     "log_context",
@@ -659,95 +652,6 @@ def counter_regressions(before: str, after: str) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Engine-side counters shared across the process
-# ---------------------------------------------------------------------------
-
-_plan_compilations = 0
-
-
-def note_plan_compilation() -> None:
-    """Record one compiled transition guard (cold path: compilation only)."""
-    global _plan_compilations
-    _plan_compilations += 1
-
-
-def plan_compilation_count() -> int:
-    return _plan_compilations
-
-
-def reset_plan_compilation_count() -> None:
-    global _plan_compilations
-    _plan_compilations = 0
-
-
-def engine_counters_snapshot() -> Dict[str, Any]:
-    """Monotonic engine counters of this process (caches + compilations)."""
-    return {
-        "caches": {
-            name: {key: stats[key] for key in ("hits", "misses", "evictions")}
-            for name, stats in cache_stats_snapshot().items()
-        },
-        "plan_compilations": _plan_compilations,
-    }
-
-
-def engine_counters_delta(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, Any]:
-    """Counter movement between two :func:`engine_counters_snapshot` calls."""
-    caches: Dict[str, Dict[str, int]] = {}
-    for name, counters in after.get("caches", {}).items():
-        base = before.get("caches", {}).get(name, {})
-        moved = {
-            key: counters[key] - base.get(key, 0)
-            for key in ("hits", "misses", "evictions")
-            if counters[key] - base.get(key, 0)
-        }
-        if moved:
-            caches[name] = moved
-    return {
-        "caches": caches,
-        "plan_compilations": after.get("plan_compilations", 0)
-        - before.get("plan_compilations", 0),
-    }
-
-
-#: Engine counters observed in pool worker processes, merged back by the
-#: parent alongside job results.  Kept separate from the parent's own live
-#: cache stats: a worker's cache hits happened in another process.
-_worker_totals_lock = threading.Lock()
-_worker_totals: Dict[str, Any] = {"jobs": 0, "plan_compilations": 0, "caches": {}}
-
-
-def merge_worker_counters(delta: Optional[Dict[str, Any]]) -> None:
-    """Fold one worker job's counter delta into the process-wide totals."""
-    if not delta:
-        return
-    with _worker_totals_lock:
-        _worker_totals["jobs"] += 1
-        _worker_totals["plan_compilations"] += delta.get("plan_compilations", 0)
-        caches = _worker_totals["caches"]
-        for name, counters in delta.get("caches", {}).items():
-            bucket = caches.setdefault(name, {"hits": 0, "misses": 0, "evictions": 0})
-            for key, amount in counters.items():
-                bucket[key] = bucket.get(key, 0) + amount
-
-
-def worker_counters_snapshot() -> Dict[str, Any]:
-    with _worker_totals_lock:
-        return {
-            "jobs": _worker_totals["jobs"],
-            "plan_compilations": _worker_totals["plan_compilations"],
-            "caches": {name: dict(counters) for name, counters in _worker_totals["caches"].items()},
-        }
-
-
-def reset_worker_counters() -> None:
-    with _worker_totals_lock:
-        _worker_totals["jobs"] = 0
-        _worker_totals["plan_compilations"] = 0
-        _worker_totals["caches"] = {}
-
-
-# ---------------------------------------------------------------------------
 # Engine rollup: cumulative SearchStatistics across completed jobs
 # ---------------------------------------------------------------------------
 
@@ -771,9 +675,12 @@ _ROLLUP_FIELDS = (
 class EngineRollup:
     """Cumulative engine search statistics across completed jobs.
 
-    Fed from each finished job's ``SearchStatistics`` dict (one call per
-    job, off the solver hot path).  Powers the ``engine`` section of
-    ``GET /v1/stats`` and the ``repro_engine_*`` metric families.
+    Fed from each finished job's statistics dict (one call per job, off the
+    solver hot path): the ``SearchStatistics`` fields, and under
+    ``"caches"`` the memo counts of the job's theory, which the batch
+    runner adds wherever the job ran, in this process or a pool worker.
+    Powers the ``engine`` section of ``GET /v1/stats`` and the
+    ``repro_engine_*`` metric families.
     """
 
     def __init__(self) -> None:
@@ -781,6 +688,8 @@ class EngineRollup:
         self.jobs = 0
         self.engine_seconds = 0.0
         self.totals: Dict[str, int] = {field: 0 for field in _ROLLUP_FIELDS}
+        #: Memo-table counts by table name (see :func:`repro.perf.add_counts`).
+        self.caches: Dict[str, Dict[str, int]] = {}
 
     def record(self, statistics: Optional[Mapping[str, Any]]) -> None:
         if not statistics:
@@ -794,6 +703,12 @@ class EngineRollup:
                 value = statistics.get(field)
                 if isinstance(value, (int, float)):
                     self.totals[field] += int(value)
+            add_counts(self.caches, statistics.get("caches") or {})
+
+    def cache_counts(self, field: str) -> Dict[str, int]:
+        """One memo counter (``hits``, ``misses`` or ``evictions``) by table name."""
+        with self._lock:
+            return {name: counts[field] for name, counts in self.caches.items()}
 
     @property
     def candidates_pruned(self) -> int:
@@ -818,6 +733,7 @@ class EngineRollup:
             payload["candidates_pruned"] = self.candidates_pruned
             payload["cache_hit_rate"] = round(self.cache_hit_rate, 4)
             payload["engine_seconds"] = round(self.engine_seconds, 6)
+            payload["caches"] = {name: dict(counts) for name, counts in self.caches.items()}
             return payload
 
 

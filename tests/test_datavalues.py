@@ -110,6 +110,19 @@ def test_tensor_product_allows_shared_values():
     assert any(a != b for a, b in result.run.database.relation("sim"))
 
 
+def test_memo_counts_add_the_wrapped_theorys_tables():
+    # The product memoises its rendered databases; the base theory it wraps
+    # holds the compiled guards (one per transition here).
+    schema = GRAPH_SCHEMA.union(NATURALS_WITH_EQUALITY.schema)
+    system = _same_value_system(schema)
+    theory = with_data_values(AllDatabasesTheory(GRAPH_SCHEMA), NATURALS_WITH_EQUALITY)
+    EmptinessSolver(theory).check(system)
+    counts = theory.memo_counts()
+    assert counts.keys() == {"engine_transition_plans", "datavalues_database"}
+    assert counts["engine_transition_plans"] == {"hits": 0, "misses": 2, "evictions": 0}
+    assert counts["datavalues_database"]["hits"] > 0
+
+
 def test_odot_product_forbids_shared_values_example6():
     schema = GRAPH_SCHEMA.union(NATURALS_WITH_EQUALITY.schema)
     system = _same_value_system(schema)

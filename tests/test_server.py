@@ -30,6 +30,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults
+from repro.perf import add_counts
 from repro.service import (
     ERROR_CODES,
     HTTPBackend,
@@ -304,13 +306,12 @@ class TestLoadShedding:
             assert status == 200
             assert stats["queue"]["shed_total"] == 1
 
-    def test_client_retries_until_admitted(self):
+    def test_client_retries_until_admitted(self, slow_groups):
         # max_pending=1 with a slow engine: the second concurrent batch is
         # shed at first, and the client's Retry-After backoff gets it
         # through once the first completes.
-        service = VerificationService(
-            store=ResultStore.in_memory(), max_pending=1, execute_delay=0.3, retry_after=1
-        )
+        slow_groups(0.3)
+        service = VerificationService(store=ResultStore.in_memory(), max_pending=1, retry_after=1)
         with ServerThread(service=service) as server:
             results = {}
 
@@ -448,10 +449,9 @@ class TestVersioning:
 
 
 class TestInFlightDedup:
-    def test_concurrent_duplicate_batches_share_one_execution(self):
-        service = VerificationService(
-            store=ResultStore.in_memory(), workers=1, execute_delay=0.4
-        )
+    def test_concurrent_duplicate_batches_share_one_execution(self, slow_groups):
+        slow_groups(0.4)
+        service = VerificationService(store=ResultStore.in_memory(), workers=1)
         with ServerThread(service=service) as server:
             jobs = generate_jobs(4, seed=7)
             responses = {}
@@ -501,6 +501,84 @@ class TestInFlightDedup:
         (result,) = second["results"]
         assert (result["served_from"], result["label"]) == ("store", "bob")
 
+    def test_a_batch_dedup_join_without_the_certificate_runs_fresh(self, server):
+        # Job 1 is nonempty, job 0 empty.  A join is refused only when the
+        # joined result lacks an artifact its joiner asked for, the rule the
+        # store applies to its rows: an empty verdict needs no certificate.
+        empty, nonempty = generate_jobs(40, seed=7)[:2]
+        report = post_jobs(
+            server.base_url,
+            [
+                nonempty,
+                dataclasses.replace(nonempty, certificate=True),
+                empty,
+                dataclasses.replace(empty, certificate=True),
+            ],
+        )
+        served = [
+            (result["served_from"], result["nonempty"], result["has_certificate"])
+            for result in report["results"]
+        ]
+        assert served == [
+            ("engine", True, False),
+            ("engine", True, True),
+            ("engine", False, False),
+            ("batch-dedup", False, False),
+        ]
+        assert (report["executed"], report["batch_dedup"]) == (3, 1)
+        status, witness, _ = _request(server.base_url, f"/v1/jobs/{nonempty.fingerprint}/witness")
+        assert status == 200 and witness["certificate"]
+
+    def test_an_inflight_join_without_the_certificate_runs_fresh(self, server):
+        # The plain job's group is held until the certified duplicate has
+        # arrived, so the duplicate meets it in flight.
+        service = server.service
+        job = generate_jobs(40, seed=7)[1]
+        release = threading.Event()
+        execute_fresh = service._execute_fresh
+
+        def held(jobs):
+            release.wait(30)
+            return execute_fresh(jobs)
+
+        service._execute_fresh = held
+        responses = {}
+
+        def post(tag, submitted):
+            responses[tag] = post_jobs(server.base_url, [submitted])
+
+        def submit(tag, submitted):
+            received = service.stats.jobs_received
+            thread = threading.Thread(target=post, args=(tag, submitted))
+            thread.start()
+            deadline = time.monotonic() + 10
+            while service.stats.jobs_received == received and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return thread
+
+        threads = [
+            submit("plain", job),
+            submit("certified", dataclasses.replace(job, certificate=True)),
+        ]
+        release.set()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        (certified,) = responses["certified"]["results"]
+        assert (certified["served_from"], certified["has_certificate"]) == ("engine", True)
+        assert service.stats.inflight_joins == 0 and service.stats.executed == 2
+        status, witness, _ = _request(server.base_url, f"/v1/jobs/{job.fingerprint}/witness")
+        assert status == 200 and witness["certificate"]
+
+    def test_server_delay_fault_holds_a_fresh_group(self, server, slow_groups):
+        slow_groups(0.5)
+        spec = json.dumps(generate_jobs(1, seed=45)[0].to_spec()).encode()
+        start = time.monotonic()
+        status, payload, _ = _request(server.base_url, "/v1/jobs", spec)
+        assert status == 200 and payload["served_from"] == "engine"
+        assert time.monotonic() - start >= 0.5
+        assert faults.registry.fired["server.delay"] == 1
+
 
 class TestBatchEvents:
     def test_events_replay_after_completion(self, server):
@@ -518,10 +596,9 @@ class TestBatchEvents:
         done = events[-1]
         assert done["executed"] == 3 and done["jobs"] == 3
 
-    def test_events_stream_live_for_async_batch(self):
-        service = VerificationService(
-            store=ResultStore.in_memory(), workers=1, execute_delay=0.3
-        )
+    def test_events_stream_live_for_async_batch(self, slow_groups):
+        slow_groups(0.3)
+        service = VerificationService(store=ResultStore.in_memory(), workers=1)
         with ServerThread(service=service) as server:
             jobs = generate_jobs(2, seed=16)
             status, accepted, _ = _request(
@@ -834,7 +911,7 @@ class TestObservability:
         for family in (
             "repro_engine_jobs_total",
             "repro_engine_cache_hits_total",
-            "repro_plan_compilations_total",
+            "repro_engine_cache_misses_total",
             "repro_store_lookup_hits_total",
             "repro_store_puts_total",
             "repro_worker_processes",
@@ -843,6 +920,41 @@ class TestObservability:
             assert family in after, f"{family} missing from /v1/metrics"
         hits = parse_exposition(after).samples[("repro_store_hits_total", ())]
         assert hits == 2  # the warm rerun, counted once per job
+
+    def test_memo_counts_are_the_same_on_serial_and_pooled_nodes(self):
+        # The engine's memo counts ride in each job's result, so a node
+        # reports the same numbers whether its jobs ran in-process or in a
+        # pool worker, and each family is the sum over the results.
+        jobs = generate_jobs(8, seed=25)
+        tables = ("engine_transition_plans", "datavalues_database", "trees_placements")
+        expected = {
+            "hits": dict(zip(tables, (13, 7, 2))),
+            "misses": dict(zip(tables, (16, 4, 5))),
+            "evictions": dict.fromkeys(tables, 0),
+        }
+        for workers in (1, 2):
+            service = VerificationService(store=ResultStore.in_memory(), workers=workers)
+            with ServerThread(service=service) as node:
+                report = post_jobs(node.base_url, jobs)
+                with ServiceClient(node.base_url) as client:
+                    samples = parse_exposition(client.metrics()).samples
+            assert report["executed"] == len(jobs)
+            summed = {}
+            for result in report["results"]:
+                add_counts(summed, result["statistics"]["caches"])
+            for field, counts in expected.items():
+                exported = {
+                    dict(labels)["cache"]: value
+                    for (name, labels), value in samples.items()
+                    if name == f"repro_engine_cache_{field}_total"
+                }
+                assert exported == counts, (workers, field, exported)
+                assert {name: table[field] for name, table in summed.items()} == counts
+            assert not [
+                name
+                for name, _ in samples
+                if name.startswith(("repro_worker_cache_", "repro_plan_compilations"))
+            ]
 
 
 class DisconnectCases:

@@ -168,23 +168,6 @@ class TestExpositionValidator:
         assert counter_regressions(head + "g 5\n", head + "g 2\n") == []
 
 
-class TestEngineCounters:
-    def test_snapshot_delta_and_worker_merge(self):
-        before = telemetry.engine_counters_snapshot()
-        telemetry.note_plan_compilation()
-        after = telemetry.engine_counters_snapshot()
-        delta = telemetry.engine_counters_delta(before, after)
-        assert delta["plan_compilations"] == 1
-        baseline = telemetry.worker_counters_snapshot()
-        telemetry.merge_worker_counters(
-            {"plan_compilations": 2, "caches": {"key": {"hits": 3, "misses": 1}}}
-        )
-        merged = telemetry.worker_counters_snapshot()
-        assert merged["jobs"] == baseline["jobs"] + 1
-        assert merged["plan_compilations"] == baseline["plan_compilations"] + 2
-        assert merged["caches"]["key"]["hits"] >= 3
-
-
 class TestEngineRollup:
     STATS = {
         "elapsed_seconds": 0.5,
@@ -210,6 +193,21 @@ class TestEngineRollup:
         assert payload["jobs"] == 2
         assert payload["engine_seconds"] == pytest.approx(1.0)
         assert payload["candidates_pruned"] == rollup.candidates_pruned
+
+    def test_record_folds_memo_counts(self):
+        rollup = EngineRollup()
+        plans = {"engine_transition_plans": {"hits": 3, "misses": 2, "evictions": 0}}
+        placements = {"trees_placements": {"hits": 1, "misses": 4, "evictions": 1}}
+        rollup.record({**self.STATS, "caches": plans})
+        rollup.record({**self.STATS, "caches": {**plans, **placements}})
+        rollup.record(self.STATS)  # a result that carries no memo counts
+        assert rollup.jobs == 3
+        assert rollup.cache_counts("hits") == {"engine_transition_plans": 6, "trees_placements": 1}
+        assert rollup.cache_counts("evictions") == {
+            "engine_transition_plans": 0,
+            "trees_placements": 1,
+        }
+        assert rollup.as_dict()["caches"]["trees_placements"]["misses"] == 4
 
     def test_record_is_inert_for_none(self):
         rollup = EngineRollup()
