@@ -10,10 +10,11 @@ persistence so many deployments can share one verdict cache:
   HTTP server's default configuration use.
 
 The protocol is deliberately *keyspace-shaped*: string keys mapped to flat
-dictionaries of JSON-able primitives, plus ``oldest_keys``/``expired_keys``
+dictionaries of JSON-able primitives, a batch lookup (``get_many``) so one
+round trip answers a whole request, plus ``oldest_keys``/``expired_keys``
 scans for eviction.  A future Redis or HTTP backend maps onto it directly
-(``GET``/``SET``/``DEL`` of a serialized row, a sorted set on ``created_at``
-for the scans) without the store layer changing.
+(``GET``/``MGET``/``SET``/``DEL`` of a serialized row, a sorted set on
+``created_at`` for the scans) without the store layer changing.
 
 TTL and eviction *policy* live in :class:`ResultStore` and the keyspace
 server, which share one expiry rule (:func:`row_expired`); backends only
@@ -28,7 +29,10 @@ remote keyspace) additionally need two conditional-write primitives --
 -- so fleet-wide in-flight claims can be taken atomically.  Plain ``put``
 stays last-write-wins, which is safe for verdict rows because verdicts are
 deterministic per fingerprint: two writers racing on the same fingerprint
-write the same verdict.
+write the same verdict.  One rule refines it, applied by every backend
+inside the write itself (:func:`carry_artifacts`): a verdict written
+without a trace or certificate keeps the ones the stored verdict carries,
+so an artifact-less rewrite never erases what another writer recorded.
 
 Backends are addressed uniformly by URL through :func:`backend_from_url`:
 ``memory:``, ``sqlite:PATH`` (a bare path means sqlite), or ``http(s)://``
@@ -42,7 +46,7 @@ import heapq
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Protocol, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Protocol, Sequence, Union
 
 from repro.errors import StoreError
 
@@ -87,6 +91,38 @@ ROW_DEFAULTS = {"cacheable": 1}
 ROW_SCHEMA_VERSION = 5
 
 
+#: The row fields that carry a verdict's optional artifacts (see
+#: :func:`carry_artifacts`).
+ARTIFACT_FIELDS = ("trace", "certificate")
+
+
+def is_verdict_row(row: Mapping[str, Any]) -> bool:
+    """A cacheable verdict: neither a claim row nor a transient-error row."""
+    return bool(row.get("cacheable", 1)) and not row.get("error_code")
+
+
+def carry_artifacts(
+    row: Mapping[str, Any], stored: Optional[Mapping[str, Any]]
+) -> Dict[str, Any]:
+    """``row`` as a ``put`` writes it over ``stored``: the carry-forward rule.
+
+    A verdict row written without a ``trace`` or ``certificate`` keeps the
+    one the stored verdict row of the same key carries.  Both artifacts are
+    deterministic in the fingerprint, so carrying them forward is always
+    sound; without the rule, an artifact-less rewrite of a verdict (a
+    second writer, or a rerun that asked for no artifact) would erase them.
+    A claim or transient-error row is never a source and never gets one.
+    Every backend applies the rule inside ``put``, under the same lock that
+    makes the write atomic, so no reader-then-writer race can lose one.
+    """
+    written = dict(row)
+    if stored is not None and is_verdict_row(written) and is_verdict_row(stored):
+        for field in ARTIFACT_FIELDS:
+            if written.get(field) is None:
+                written[field] = stored.get(field)
+    return written
+
+
 def row_expired(row: Mapping[str, Any], now: float, ttl_seconds: Optional[float]) -> bool:
     """Has ``row`` aged out at wall-clock time ``now``?
 
@@ -116,8 +152,15 @@ class StoreBackend(Protocol):
         """The stored row for ``key``, or None."""
         ...
 
+    def get_many(self, keys: Sequence[str]) -> List[Optional[Dict[str, Any]]]:
+        """The stored rows for ``keys`` in one call, aligned with ``keys``
+        (None where a key has no row; a repeated key repeats its row)."""
+        ...
+
     def put(self, key: str, row: Mapping[str, Any]) -> None:
-        """Insert or replace the row for ``key`` (last write wins)."""
+        """Insert or replace the row for ``key`` (last write wins), keeping
+        the stored verdict's artifacts a verdict row lacks
+        (:func:`carry_artifacts`)."""
         ...
 
     def put_if_absent(self, key: str, row: Mapping[str, Any]) -> bool:
@@ -193,9 +236,14 @@ class MemoryBackend:
             row = self._rows.get(key)
             return dict(row) if row is not None else None
 
+    def get_many(self, keys: Sequence[str]) -> List[Optional[Dict[str, Any]]]:
+        with self._lock:
+            rows = [self._rows.get(key) for key in keys]
+        return [dict(row) if row is not None else None for row in rows]
+
     def put(self, key: str, row: Mapping[str, Any]) -> None:
         with self._lock:
-            self._rows[key] = dict(row)
+            self._rows[key] = carry_artifacts(row, self._rows.get(key))
 
     def put_if_absent(self, key: str, row: Mapping[str, Any]) -> bool:
         with self._lock:
@@ -280,6 +328,33 @@ CREATE TABLE IF NOT EXISTS results (
     certificate TEXT
 )
 """
+
+
+#: Keys per ``IN (...)`` list of a batch lookup; well under SQLite's bound
+#: on host parameters (999 before 3.32).
+_SQLITE_LOOKUP_CHUNK = 500
+
+#: The carry-forward condition of :func:`carry_artifacts` in SQL, over the
+#: written row (``excluded``) and the stored one (``results``).
+_SQLITE_CARRY = (
+    "COALESCE(excluded.error_code, '') = '' AND excluded.cacheable != 0 "
+    "AND COALESCE(results.error_code, '') = '' AND results.cacheable != 0"
+)
+
+#: One statement, so the carry-forward rule and the write are one atomic
+#: step even for writers in other processes sharing the file.
+_SQLITE_PUT = (
+    f"INSERT INTO results ({', '.join(ROW_FIELDS)}) "
+    f"VALUES ({', '.join('?' * len(ROW_FIELDS))}) "
+    "ON CONFLICT (fingerprint) DO UPDATE SET "
+    + ", ".join(
+        f"{field} = COALESCE(excluded.{field}, CASE WHEN {_SQLITE_CARRY} THEN results.{field} END)"
+        if field in ARTIFACT_FIELDS
+        else f"{field} = excluded.{field}"
+        for field in ROW_FIELDS
+        if field != "fingerprint"
+    )
+)
 
 
 def _migrate_v2(connection: sqlite3.Connection) -> None:
@@ -402,6 +477,20 @@ class SQLiteBackend:
             ).fetchone()
         return dict(zip(ROW_FIELDS, row)) if row is not None else None
 
+    def get_many(self, keys: Sequence[str]) -> List[Optional[Dict[str, Any]]]:
+        keys = list(keys)
+        found: Dict[str, tuple] = {}
+        with self._lock:
+            for start in range(0, len(keys), _SQLITE_LOOKUP_CHUNK):
+                chunk = keys[start : start + _SQLITE_LOOKUP_CHUNK]
+                for values in self._connection.execute(
+                    f"SELECT {', '.join(ROW_FIELDS)} FROM results "
+                    f"WHERE fingerprint IN ({', '.join('?' * len(chunk))})",
+                    chunk,
+                ):
+                    found[values[0]] = values
+        return [dict(zip(ROW_FIELDS, found[key])) if key in found else None for key in keys]
+
     @property
     def wal_enabled(self) -> bool:
         return self._wal
@@ -414,11 +503,7 @@ class SQLiteBackend:
 
     def put(self, key: str, row: Mapping[str, Any]) -> None:
         with self._lock:
-            self._connection.execute(
-                f"INSERT OR REPLACE INTO results ({', '.join(ROW_FIELDS)}) "
-                f"VALUES ({', '.join('?' * len(ROW_FIELDS))})",
-                self._row_values(row),
-            )
+            self._connection.execute(_SQLITE_PUT, self._row_values(row))
             self._connection.commit()
 
     def put_if_absent(self, key: str, row: Mapping[str, Any]) -> bool:

@@ -386,12 +386,14 @@ class HTTPBackend:
     no store-layer changes.
 
     Multi-writer semantics: plain :meth:`put` is last-write-wins (safe for
-    verdicts, which are deterministic per fingerprint);
+    verdicts, which are deterministic per fingerprint), and the server keeps
+    the stored verdict's artifacts a written verdict lacks;
     :meth:`put_if_absent` maps to ``If-Match: *`` and
     :meth:`compare_and_put` to ``If-Match: <created_at>``, both surfacing
-    the server's ``412 precondition-failed`` as a False return.  On first
-    contact the backend reads the server's discovery document and refuses a
-    keyspace whose row schema is *newer* than this build's
+    the server's ``412 precondition-failed`` as a False return.
+    :meth:`get_many` is one ``POST /v1/rows/get`` for any number of keys.
+    On first contact the backend reads the server's discovery document and
+    refuses a keyspace whose row schema is *newer* than this build's
     (:data:`~repro.service.backends.ROW_SCHEMA_VERSION`), mirroring the
     SQLite backend's future-schema refusal.
 
@@ -492,7 +494,20 @@ class HTTPBackend:
         response = self._call("GET", f"/keys/{key}", absent=404)
         return None if response is None else response["row"]
 
+    def get_many(self, keys: Sequence[str]) -> List[Optional[Dict[str, Any]]]:
+        keys = list(keys)
+        if not keys:
+            return []
+        rows = self._call("POST", "/rows/get", {"keys": keys})["rows"]
+        if len(rows) != len(keys):
+            raise StoreError(
+                f"keyspace server at {self._base_url} answered {len(rows)} rows "
+                f"for {len(keys)} keys"
+            )
+        return list(rows)
+
     def put(self, key: str, row: Mapping[str, Any]) -> None:
+        # The server's backend applies the carry-forward rule to the write.
         self._call("PUT", f"/keys/{key}", self._normalize(row))
 
     def put_if_absent(self, key: str, row: Mapping[str, Any]) -> bool:

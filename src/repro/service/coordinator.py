@@ -34,10 +34,26 @@ so a coordinator-held claim would deadlock the runner actually executing
 the job until the claim TTL expired.  Fleet-wide execute-once semantics
 come from the runners' claims in the shared keyspace plus the stable
 sharding above.
+
+Write-back: a verdict is written once.  A runner's batch report names the
+keyspace it stores its verdicts in (``"keyspace"``) and marks each result
+it holds there (``"stored"``).  When that keyspace is the coordinator's
+own store, the coordinator writes nothing for those results; it writes
+back only what no runner wrote to its store -- every result when it sits
+on a different store or its runner has none, and any result whose runner
+write failed.  The coordinator's own lookup is one batch call per request,
+like every node's, so a fresh one-job request costs the keyspace four
+calls (coordinator lookup, runner lookup, claim, write) and a warm request
+one.
+
+Forwards, witness fetches and stats polls reuse kept-alive
+:class:`ServiceClient` connections: each call checks a client for its
+runner out of one pool and returns it afterwards.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import queue
@@ -67,6 +83,14 @@ DEFAULT_UNHEALTHY_COOLDOWN_SECONDS = 5.0
 #: for execution, so this bounds a runner batch, not a single HTTP hop.
 DEFAULT_FORWARD_TIMEOUT_SECONDS = 600.0
 
+#: Client timeout of a runner stats poll: a hung runner must not hold up
+#: the coordinator's own ``/v1/stats`` and ``/v1/metrics``.
+STATS_POLL_TIMEOUT_SECONDS = 5.0
+
+#: A forwarded result with the flag whether its runner stored it in the
+#: coordinator's own keyspace.
+Forwarded = Tuple[int, JobResult, bool]
+
 #: Counter families re-exported per runner (with a ``runner`` label) by the
 #: coordinator's aggregated ``/v1/metrics`` exposition.
 _FLEET_COUNTER_ATTRS = ("jobs_received", "executed", "store_hits", "inflight_joins")
@@ -76,14 +100,69 @@ class _ForwardError(RuntimeError):
     """A forward produced an unusable response (treated as runner failure)."""
 
 
+class _RunnerClients:
+    """Kept-alive :class:`ServiceClient` connections to the runners.
+
+    A call checks out an idle client for its runner and call budget
+    (timeout, retries), or builds one, and returns it when it is done, so a
+    runner sees one connection per concurrent call rather than one per
+    call.  No client serves two calls at once.  A client whose call failed
+    other than with a complete error response is closed, not returned: its
+    connection may be mid-response.  :meth:`close` closes the idle clients,
+    and every busy one as it comes back.
+    """
+
+    def __init__(self, token: Optional[str]) -> None:
+        self._token = token
+        self._lock = threading.Lock()
+        self._idle: Dict[Tuple[str, float, int], List[ServiceClient]] = {}
+        self._closed = False
+
+    @contextlib.contextmanager
+    def checkout(self, url: str, timeout: float, retries: int) -> Iterator[ServiceClient]:
+        key = (url, timeout, retries)
+        with self._lock:
+            idle = self._idle.get(key)
+            client = idle.pop() if idle else None
+        if client is None:
+            client = ServiceClient(url, auth_token=self._token, timeout=timeout, retries=retries)
+        try:
+            yield client
+        except ServiceError:
+            self._checkin(key, client)  # the error response was read whole
+            raise
+        except BaseException:
+            client.close()
+            raise
+        self._checkin(key, client)
+
+    def _checkin(self, key: Tuple[str, float, int], client: ServiceClient) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.setdefault(key, []).append(client)
+                return
+        client.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            clients = [client for idle in self._idle.values() for client in idle]
+            self._idle.clear()
+        for client in clients:
+            client.close()
+
+
 class CoordinatorService(VerificationService):
     """A :class:`VerificationService` that shards execution across runners.
 
     Every layer above execution is inherited unchanged -- admission
-    control, store-first serving, per-node in-flight dedup, batch dedup,
-    tracing endpoints, drain sequence.  Only :meth:`_execute_fresh` is
-    replaced: instead of the local engine pool, fresh jobs are forwarded
-    to runner nodes by fingerprint shard.
+    control, store-first serving (one batch lookup per request), per-node
+    in-flight dedup, batch dedup, tracing endpoints, drain sequence.  Only
+    :meth:`_execute_fresh` is replaced: instead of the local engine pool,
+    fresh jobs are forwarded to runner nodes by fingerprint shard, over
+    kept-alive clients from one pool that closes with the coordinator.
+    Write-back skips every result a runner reports stored in the
+    coordinator's own keyspace (see the module docstring).
     """
 
     role = "coordinator"
@@ -106,7 +185,7 @@ class CoordinatorService(VerificationService):
         kwargs["cluster_dedup"] = False
         super().__init__(**kwargs)
         self._runner_urls: List[str] = urls
-        self._runner_token = runner_token
+        self._clients = _RunnerClients(runner_token)
         self._health_lock = threading.Lock()
         self._cooldown_until: Dict[str, float] = {}
         # Forwarding threads touch these counters concurrently; ServiceStats
@@ -175,9 +254,7 @@ class CoordinatorService(VerificationService):
 
     # -- execution override ------------------------------------------------------
 
-    def _execute_fresh(
-        self, jobs: List[VerificationJob]
-    ) -> Iterator[Tuple[int, JobResult]]:
+    def _execute_fresh(self, jobs: List[VerificationJob]) -> Iterator[Forwarded]:
         """Forward fresh jobs to their shard runners, yielding as shards land.
 
         Shard groups run concurrently (one thread per runner group), each
@@ -198,12 +275,12 @@ class CoordinatorService(VerificationService):
             else:
                 groups.setdefault(url, []).append((index, job))
         for index, job in unrouteable:
-            yield index, self._unavailable_result(job, "no runner configured for shard")
+            yield index, self._unavailable_result(job, "no runner configured for shard"), False
         if len(groups) == 1:
             (url, group), = groups.items()
             yield from self._forward_with_failover(url, group, frozenset())
             return
-        out: "queue.Queue[Optional[Tuple[int, JobResult]]]" = queue.Queue()
+        out: "queue.Queue[Optional[Forwarded]]" = queue.Queue()
         threads = []
         for url, group in groups.items():
             thread = threading.Thread(
@@ -228,18 +305,18 @@ class CoordinatorService(VerificationService):
         self,
         url: str,
         group: List[Tuple[int, VerificationJob]],
-        out: "queue.Queue[Optional[Tuple[int, JobResult]]]",
+        out: "queue.Queue[Optional[Forwarded]]",
     ) -> None:
         emitted = set()
         try:
-            for index, result in self._forward_with_failover(url, group, frozenset()):
+            for index, result, stored in self._forward_with_failover(url, group, frozenset()):
                 emitted.add(index)
-                out.put((index, result))
+                out.put((index, result, stored))
         except Exception as exc:  # noqa: BLE001 - a shard failure must not hang the batch
             _log.error("shard forward failed", extra={"runner": url, "error": str(exc)})
             for index, job in group:
                 if index not in emitted:
-                    out.put((index, self._unavailable_result(job, str(exc))))
+                    out.put((index, self._unavailable_result(job, str(exc)), False))
         finally:
             out.put(None)
 
@@ -248,7 +325,7 @@ class CoordinatorService(VerificationService):
         url: str,
         group: List[Tuple[int, VerificationJob]],
         excluded: FrozenSet[str],
-    ) -> Iterator[Tuple[int, JobResult]]:
+    ) -> Iterator[Forwarded]:
         """Forward ``group`` to ``url``; on failure re-shard over survivors.
 
         Each failover excludes the failed runner and regroups the pending
@@ -267,39 +344,34 @@ class CoordinatorService(VerificationService):
         for index, job in group:
             next_url = self._choose_runner(job.fingerprint, excluded)
             if next_url is None:
-                yield index, self._unavailable_result(job, "every runner failed for shard")
+                yield index, self._unavailable_result(job, "every runner failed for shard"), False
             else:
                 regrouped.setdefault(next_url, []).append((index, job))
         for next_url, subgroup in regrouped.items():
             yield from self._forward_with_failover(next_url, subgroup, excluded)
 
-    def _forward(
-        self, url: str, group: List[Tuple[int, VerificationJob]]
-    ) -> List[Tuple[int, JobResult]]:
+    def _forward(self, url: str, group: List[Tuple[int, VerificationJob]]) -> List[Forwarded]:
         """One ``POST /v1/jobs`` forward of a shard group to one runner.
 
-        A fresh client per forward keeps connection state thread-local;
-        group-level batching amortises the handshake over the whole shard.
-        The runner re-verifies every client-computed fingerprint, and each
-        returned result is matched against its job here -- the same
-        end-to-end canonicalization guard as direct submissions.
+        The client comes out of the runner's kept-alive pool and goes back
+        after the call; group-level batching amortises the request over the
+        whole shard.  The runner re-verifies every client-computed
+        fingerprint, and each returned result is matched against its job
+        here -- the same end-to-end canonicalization guard as direct
+        submissions.  A result is flagged stored when the runner reports it
+        stored in the keyspace that is this coordinator's own store.
         """
         jobs = [job for _, job in group]
-        client = ServiceClient(
-            url,
-            auth_token=self._runner_token,
-            timeout=DEFAULT_FORWARD_TIMEOUT_SECONDS,
-            retries=2,  # load-shed retries before the runner counts as failed
-        )
-        try:
+        with self._runner_client(url) as client:
             report = client.submit_batch(jobs, wait=True, include_fingerprints=True)
-        finally:
-            client.close()
         entries = report.get("results") if isinstance(report, dict) else None
         if not isinstance(entries, list) or len(entries) != len(jobs):
-            raise _ForwardError(f"runner returned {0 if not entries else len(entries)} "
-                                f"results for {len(jobs)} jobs")
-        forwarded: List[Tuple[int, JobResult]] = []
+            raise _ForwardError(
+                f"runner returned {0 if not entries else len(entries)} "
+                f"results for {len(jobs)} jobs"
+            )
+        shares_store = self._keyspace is not None and report.get("keyspace") == self._keyspace
+        forwarded: List[Forwarded] = []
         for (index, job), entry in zip(group, entries):
             result = JobResult.from_dict(entry)
             if result.fingerprint != job.fingerprint:
@@ -307,8 +379,13 @@ class CoordinatorService(VerificationService):
                     f"runner answered fingerprint {result.fingerprint[:12]} "
                     f"for job {job.fingerprint[:12]}"
                 )
-            forwarded.append((index, result))
+            forwarded.append((index, result, shares_store and entry.get("stored") is True))
         return forwarded
+
+    def _runner_client(self, url: str):
+        """A kept-alive client for ``url`` with the forward budget: two
+        load-shed retries before the runner counts as failed."""
+        return self._clients.checkout(url, DEFAULT_FORWARD_TIMEOUT_SECONDS, retries=2)
 
     def _unavailable_result(self, job: VerificationJob, detail: str) -> JobResult:
         return JobResult(
@@ -335,14 +412,9 @@ class CoordinatorService(VerificationService):
                 "url": url,
                 "in_cooldown": self._in_cooldown(url),
             }
-            client = ServiceClient(
-                url,
-                auth_token=self._runner_token,
-                timeout=5.0,
-                retries=0,
-            )
             try:
-                stats = client.stats()
+                with self._clients.checkout(url, STATS_POLL_TIMEOUT_SECONDS, retries=0) as client:
+                    stats = client.stats()
             except (ServiceError, OSError) as exc:
                 entry["up"] = False
                 entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -354,8 +426,6 @@ class CoordinatorService(VerificationService):
                     value = stats.get(attr)
                     if isinstance(value, (int, float)):
                         aggregate[attr] += int(value)
-            finally:
-                client.close()
             runners.append(entry)
         return {
             "runners": runners,
@@ -419,18 +489,11 @@ class CoordinatorService(VerificationService):
         for url in self._shard_preference(fingerprint):
             if self._in_cooldown(url):
                 continue
-            client = ServiceClient(
-                url,
-                auth_token=self._runner_token,
-                timeout=DEFAULT_FORWARD_TIMEOUT_SECONDS,
-                retries=0,
-            )
             try:
-                payload = client.witness(fingerprint)
+                with self._runner_client(url) as client:
+                    payload = client.witness(fingerprint)
             except (ServiceError, OSError):
                 continue
-            finally:
-                client.close()
             if isinstance(payload, dict) and payload.get("certificate"):
                 return payload
         return None
@@ -440,16 +503,17 @@ class CoordinatorService(VerificationService):
     ) -> None:
         """Serve a witness certificate, forwarding to the fleet when needed.
 
-        The coordinator's own store is checked first (shared-store
-        deployments land here); otherwise the certificate is fetched from
-        the runner that executed the job -- its shard-preferred node --
-        and relayed unchanged, so coordinator- and runner-served payloads
-        carry the identical encoded certificate.
+        The coordinator's own store is read first, once, and a certificate
+        found there is served from that read (shared-store deployments land
+        here); otherwise the certificate is fetched from the runner that
+        executed the job -- its shard-preferred node -- and relayed
+        unchanged, so coordinator- and runner-served payloads carry the
+        identical encoded certificate.
         """
         fingerprint = self._witness_of(request)
         cached = self._store.get(fingerprint) if self._store is not None else None
         if cached is not None and cached.certificate is not None:
-            await super()._handle_job_witness(request, writer, keep)
+            await self._send_witness(writer, fingerprint, cached, keep)
             return
         loop = asyncio.get_running_loop()
         # Fleet polling blocks on HTTP calls; keep it off the loop.
@@ -471,6 +535,11 @@ class CoordinatorService(VerificationService):
             {**payload, "served_from": "runner"},
             keep_alive=keep,
         )
+
+    async def stop(self) -> None:
+        """Stop the node, then close every kept-alive runner client."""
+        await super().stop()
+        self._clients.close()
 
     async def _handle_stats(
         self, request: Request, writer: asyncio.StreamWriter, keep: bool

@@ -7,12 +7,16 @@ in-flight dedup domain through :class:`~repro.service.client.HTTPBackend`.
 
 Design points:
 
-* **Keyspace-shaped routes.**  ``GET/PUT/DELETE /v1/keys/{key}`` plus the
-  scan endpoints mirror the :class:`StoreBackend` protocol one-to-one; the
-  payloads are the flat row dicts the backends already move, normalized to
-  the full :data:`~repro.service.backends.ROW_FIELDS` shape on write.
+* **Keyspace-shaped routes.**  ``GET/PUT/DELETE /v1/keys/{key}``, the
+  batch lookup ``POST /v1/rows/get`` and the scan endpoints mirror the
+  :class:`StoreBackend` protocol one-to-one; the payloads are the flat row
+  dicts the backends already move, normalized to the full
+  :data:`~repro.service.backends.ROW_FIELDS` shape on write.
 * **Multi-writer semantics.**  A plain ``PUT`` is last-write-wins -- safe
-  for verdict rows because verdicts are deterministic per fingerprint.
+  for verdict rows because verdicts are deterministic per fingerprint --
+  except that the backend keeps the stored verdict's trace and certificate
+  when the written verdict lacks them
+  (:func:`~repro.service.backends.carry_artifacts`).
   ``If-Match: *`` makes the ``PUT`` conditional on the key being absent
   (the ``put_if_absent`` claim primitive) and ``If-Match: <created_at>``
   on the current row's timestamp (``compare_and_put``); a failed
@@ -40,7 +44,7 @@ import json
 import threading
 import time
 import urllib.parse
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.service.backends import (
     ROW_DEFAULTS,
@@ -70,6 +74,7 @@ KEYSPACE_ROUTES = (
     "DELETE /keys/{key}",
     "GET /count",
     "GET /rows",
+    "POST /rows/get",
     "GET /scan/oldest?limit=N",
     "GET /scan/expired?cutoff=T",
     "POST /clear",
@@ -87,6 +92,7 @@ KEYSPACE_ENDPOINTS: Dict[str, str] = {
     "/keys": "keys",
     "/count": "count",
     "/rows": "rows",
+    "/rows/get": "rows_get",
     "/scan/oldest": "scan_oldest",
     "/scan/expired": "scan_expired",
     "/clear": "clear",
@@ -297,6 +303,9 @@ class KeyspaceService(HTTPService):
             rows = [row for row in self._backend.rows() if not row_expired(row, now, self._ttl)]
             self._ops.inc(op="rows", outcome="ok")
             return 200, {"rows": rows}, {}
+        if route == "/rows/get":
+            self._require(method, "POST", route)
+            return 200, {"rows": self._live_rows(self._keys_body(body))}, {}
         if route == "/scan/oldest":
             self._require(method, "GET", route)
             limit = self._int_param(query, "limit")
@@ -328,6 +337,36 @@ class KeyspaceService(HTTPService):
     def _live_key(self, key: str, now: float) -> bool:
         row = self._backend.get(key)
         return row is not None and not self._reap(key, row, now)
+
+    def _live_rows(self, keys: List[str]) -> List[Optional[Dict[str, Any]]]:
+        """The batch lookup: each key's live row or None, aligned with
+        ``keys``; one backend call, expiry applied per row, one op."""
+        now = time.time()
+        unique = list(dict.fromkeys(keys))
+        live = {
+            key: row
+            for key, row in zip(unique, self._backend.get_many(unique))
+            if row is not None and not self._reap(key, row, now)
+        }
+        self._ops.inc(op="get_many", outcome="ok")
+        return [live.get(key) for key in keys]
+
+    @staticmethod
+    def _json_body(body: Optional[bytes], what: str) -> Any:
+        if not body:
+            raise ApiError(400, "bad-request", f"{what} requires a JSON body")
+        try:
+            return json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            raise ApiError(400, "invalid-json", f"{what} body is not valid JSON: {error}") from None
+
+    @classmethod
+    def _keys_body(cls, body: Optional[bytes]) -> List[str]:
+        decoded = cls._json_body(body, "a batch lookup")
+        keys = decoded.get("keys") if isinstance(decoded, dict) else None
+        if not isinstance(keys, list) or not all(isinstance(key, str) for key in keys):
+            raise ApiError(400, "invalid-spec", 'a batch lookup is {"keys": [key, ...]}')
+        return keys
 
     @staticmethod
     def _require(method: str, expected: str, route: str) -> None:
@@ -379,12 +418,7 @@ class KeyspaceService(HTTPService):
     def _put_key(
         self, key: str, body: Optional[bytes], headers: Mapping[str, str]
     ) -> Tuple[int, Any, Dict[str, str]]:
-        if not body:
-            raise ApiError(400, "bad-request", "PUT requires a JSON row body")
-        try:
-            decoded = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ApiError(400, "invalid-json", f"row body is not valid JSON: {error}") from None
+        decoded = self._json_body(body, "PUT")
         if not isinstance(decoded, dict) or "created_at" not in decoded:
             raise ApiError(400, "invalid-spec", "a row is a JSON object with at least created_at")
         row = {field: decoded.get(field, ROW_DEFAULTS.get(field)) for field in ROW_FIELDS}
@@ -398,6 +432,7 @@ class KeyspaceService(HTTPService):
         with self._write_lock:
             now = time.time()
             if if_match is None:
+                # The backend's put keeps the stored verdict's artifacts.
                 self._backend.put(key, row)
                 self._ops.inc(op="put", outcome="ok")
             elif if_match == "*":

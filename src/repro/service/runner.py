@@ -372,8 +372,10 @@ class BatchRunner:
         results: List[Optional[JobResult]] = [None] * len(jobs)
 
         pending: List[Tuple[int, VerificationJob]] = []
-        for index, job in enumerate(jobs):
-            cached = self._store.cached_for(job) if self._store is not None else None
+        served = (
+            self._store.cached_for_many(jobs) if self._store is not None else [None] * len(jobs)
+        )
+        for index, (job, cached) in enumerate(zip(jobs, served)):
             if cached is not None:
                 results[index] = cached
                 report.cache_hits += 1
@@ -410,7 +412,7 @@ class BatchRunner:
 
     # -- store write-back --------------------------------------------------------
 
-    def record(self, job: VerificationJob, result: JobResult) -> None:
+    def record(self, job: VerificationJob, result: JobResult) -> bool:
         """Write one executed result back to the store (when one is attached).
 
         Verdicts are written with bounded retries (store IO is a transient,
@@ -418,21 +420,22 @@ class BatchRunner:
         discard a computed verdict).  Transient execution failures are
         recorded as non-cacheable error rows for observability; permanent
         failures are not stored at all.  Store problems never propagate: the
-        caller still holds the result.
+        caller still holds the result.  Returns whether a row was written.
         """
         tally = RunnerStats()
-        self._record(job, result, tally)
+        written = self._record(job, result, tally)
         self._add_stats(tally)
+        return written
 
-    def _record(self, job: VerificationJob, result: JobResult, tally: RunnerStats) -> None:
+    def _record(self, job: VerificationJob, result: JobResult, tally: RunnerStats) -> bool:
         if self._store is None:
-            return
+            return False
         if result.ok:
             attempts = max(3, self._retry_policy.max_attempts)
             for attempt in range(1, attempts + 1):
                 try:
                     self._store.put(job, result)
-                    return
+                    return True
                 except Exception as exc:  # noqa: BLE001 - store IO must not kill the batch
                     if attempt == attempts:
                         tally.store_put_failures += 1
@@ -440,14 +443,16 @@ class BatchRunner:
                             "store write failed; verdict not persisted",
                             extra={"fingerprint": result.fingerprint[:12], "error": str(exc)},
                         )
-                        return
+                        return False
                     tally.store_put_retries += 1
                     time.sleep(self._retry_policy.delay_seconds(attempt))
         elif result.error_code in RETRYABLE_ERROR_CODES:
             try:
                 self._store.put_error(job, result)
+                return True
             except Exception:  # noqa: BLE001 - best-effort observability row
                 pass
+        return False
 
     # -- execution ---------------------------------------------------------------
 

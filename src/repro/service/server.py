@@ -5,8 +5,9 @@ zero-dependency rule) that turns the batch verification service into an
 always-on endpoint hardened for sustained mixed cold/warm traffic:
 
 * **Store-first.**  Every job is looked up in the
-  :class:`~repro.service.store.ResultStore` before any work is scheduled;
-  cached verdicts are served without touching a worker.
+  :class:`~repro.service.store.ResultStore` before any work is scheduled,
+  all of a request's jobs in one store call; cached verdicts are served
+  without touching a worker.
 * **In-flight fingerprint dedup.**  Identical jobs submitted concurrently
   share one engine execution: the first submission registers an
   ``asyncio.Future`` per fingerprint, later submissions await that future
@@ -24,8 +25,8 @@ always-on endpoint hardened for sustained mixed cold/warm traffic:
   still working.
 * **Keep-alive connections.**  HTTP/1.1 persistent connections with request
   pipelining, an idle timeout between requests, a read budget per request
-  (slowloris guard), and a connection cap (over-cap connects are answered
-  ``503`` and closed).
+  (slowloris guard) -- one timer per request keeps both -- and a
+  connection cap (over-cap connects are answered ``503`` and closed).
 * **Load-shedding.**  Work-bearing requests (``POST /v1/jobs``) pass a
   bounded admission gate; over-limit requests are shed with ``429`` +
   ``Retry-After`` instead of queueing without bound.  Queue depth and shed
@@ -633,15 +634,40 @@ class HTTPService:
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Optional[Request]:
-        # The wait for the *next* request line is bounded by the idle
-        # budget; once a request has started, completing its header block
-        # and body is bounded by the (shorter) read budget.
-        request_line = await asyncio.wait_for(reader.readline(), timeout=self._idle_timeout)
-        if not request_line:
-            return None
-        return await asyncio.wait_for(
-            self._read_request_rest(request_line, reader, writer), timeout=READ_TIMEOUT_SECONDS
-        )
+        """Read the next request under one timer; None when the peer closed.
+
+        The timer keeps the idle budget until the request line arrives, then
+        the read budget until the header block and body are in.  On expiry
+        it aborts the connection, which ends the pending read, and this
+        raises :class:`asyncio.TimeoutError`.  A timer handle costs a few
+        microseconds where ``asyncio.wait_for`` builds a task per call, and
+        every node kind pays it on every request.
+        """
+        loop = asyncio.get_running_loop()
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            writer.transport.abort()
+
+        timer = loop.call_later(self._idle_timeout, expire)
+        request: Optional[Request] = None
+        try:
+            request_line = await reader.readline()
+            if request_line and not expired:
+                timer.cancel()
+                timer = loop.call_later(READ_TIMEOUT_SECONDS, expire)
+                request = await self._read_request_rest(request_line, reader, writer)
+        except (ApiError, ConnectionError, asyncio.IncompleteReadError):
+            # A read the abort cut short is a timeout, not a bad request.
+            if not expired:
+                raise
+        finally:
+            timer.cancel()
+        if expired:
+            raise asyncio.TimeoutError
+        return request
 
     async def _read_request_rest(
         self, request_line: bytes, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -962,6 +988,9 @@ class VerificationService(HTTPService):
         if cluster_dedup is None:
             cluster_dedup = store is not None and store.is_shared
         self._cluster_dedup = bool(cluster_dedup) and store is not None
+        #: The shared keyspace this node reads and writes, named in every
+        #: batch report; None on a process-private store or none at all.
+        self._keyspace = store.backend.name if store is not None and store.is_shared else None
         self._node_id = f"node-{uuid.uuid4().hex[:8]}"
         # The runner carries the store so settle() can delegate write-back to
         # BatchRunner.record (bounded retries + non-cacheable error rows);
@@ -1205,17 +1234,19 @@ class VerificationService(HTTPService):
 
     async def resolve_jobs(
         self, jobs: List[VerificationJob], record: Optional[BatchRecord] = None
-    ) -> Tuple[List[Tuple[JobResult, str]], Dict[str, int]]:
+    ) -> Tuple[List[Tuple[JobResult, str, bool]], Dict[str, int]]:
         """Decide every job via store / in-flight join / fresh execution.
 
-        Returns results aligned with ``jobs`` as ``(result, served_from)``
-        pairs, ``served_from`` being ``"store"``, ``"inflight"``,
-        ``"batch-dedup"``, ``"cluster"`` or ``"engine"``, plus the
-        request-level counters.  A joined result serves a job only if it
-        carries every artifact the job asks for (:meth:`JobResult.serves`,
-        the rule the store applies to its rows); a job it does not serve
-        goes round again and runs fresh, as after a store row without the
-        artifact.
+        Returns results aligned with ``jobs`` as ``(result, served_from,
+        stored)`` triples, plus the request-level counters.  ``served_from``
+        is ``"store"``, ``"inflight"``, ``"batch-dedup"``, ``"cluster"`` or
+        ``"engine"``; ``stored`` says the result's row is in this node's
+        store (a store hit, or a write that succeeded).  Each round looks up
+        all of its pending jobs in one store call.  A joined result serves a
+        job only if it carries every artifact the job asks for
+        (:meth:`JobResult.serves`, the rule the store applies to its rows); a
+        job it does not serve goes round again and runs fresh, as after a
+        store row without the artifact.
         """
         loop = asyncio.get_running_loop()
         counters = {
@@ -1225,11 +1256,11 @@ class VerificationService(HTTPService):
             "batch_dedup": 0,
             "cluster_joins": 0,
         }
-        slots: List[Optional[Tuple[JobResult, str]]] = [None] * len(jobs)
+        slots: List[Optional[Tuple[JobResult, str, bool]]] = [None] * len(jobs)
         self.stats.jobs_received += len(jobs)
 
-        def job_done(index: int, result: JobResult, served_from: str) -> None:
-            slots[index] = (result, served_from)
+        def job_done(index: int, result: JobResult, served_from: str, stored: bool) -> None:
+            slots[index] = (result, served_from, stored)
             if record is not None:
                 record.emit(
                     {
@@ -1248,14 +1279,18 @@ class VerificationService(HTTPService):
             joins: List[Tuple[int, asyncio.Future, str]] = []
             fresh: List[Tuple[int, VerificationJob, asyncio.Future]] = []
             fresh_fingerprints = set()
-            for index in pending:
+            served = (
+                self._store.cached_for_many([jobs[index] for index in pending])
+                if self._store is not None
+                else [None] * len(pending)
+            )
+            for index, cached in zip(pending, served):
                 job = jobs[index]
                 fingerprint = job.fingerprint
-                cached = self._store.cached_for(job) if self._store is not None else None
                 if cached is not None:
                     counters["store_hits"] += 1
                     self.stats.store_hits += 1
-                    job_done(index, cached, "store")
+                    job_done(index, cached, "store", True)
                     continue
                 existing = self._inflight.get(fingerprint)
                 if existing is not None:
@@ -1272,7 +1307,7 @@ class VerificationService(HTTPService):
 
             pending = []
             for index, future, served_from in joins:
-                result: JobResult = await future
+                result, stored = await future
                 job = jobs[index]
                 if not result.serves(job):
                     pending.append(index)
@@ -1285,7 +1320,7 @@ class VerificationService(HTTPService):
                     self.stats.inflight_joins += 1
                 if job.label and job.label != result.label:
                     result = dataclasses.replace(result, label=job.label)
-                job_done(index, result, served_from)
+                job_done(index, result, served_from, stored)
 
         assert all(slot is not None for slot in slots)
         return [slot for slot in slots if slot is not None], counters
@@ -1294,13 +1329,16 @@ class VerificationService(HTTPService):
         self,
         fresh: List[Tuple[int, VerificationJob, asyncio.Future]],
         counters: Dict[str, int],
-        job_done: Callable[[int, JobResult, str], None],
+        job_done: Callable[[int, JobResult, str, bool], None],
     ) -> None:
-        """Run ``(index, job, in-flight future)`` triples off the loop; settle each."""
+        """Run ``(index, job, in-flight future)`` triples off the loop; settle each.
+
+        Each in-flight future resolves to ``(result, stored)``.
+        """
         loop = asyncio.get_running_loop()
         fresh_jobs = [job for _, job, _ in fresh]
 
-        def settle(local_index: int, result: JobResult) -> None:
+        def settle(local_index: int, result: JobResult, stored: bool = False) -> None:
             # Runs on the event-loop thread: the only store writer.  The
             # future MUST resolve whatever happens here -- an unresolved
             # in-flight future hangs this request and every later
@@ -1309,7 +1347,10 @@ class VerificationService(HTTPService):
             # record() writes verdicts with bounded retries, records
             # transient failures as non-cacheable rows, and never raises
             # -- a cache write failure must not lose a computed verdict.
-            self._runner.record(job, result)
+            # A result already in this node's store (a runner wrote it to
+            # the coordinator's own keyspace) is not written twice.
+            if not stored:
+                stored = self._runner.record(job, result)
             counters["executed"] += 1
             self.stats.executed += 1
             if result.certificate is not None:
@@ -1319,8 +1360,8 @@ class VerificationService(HTTPService):
                 self.engine_rollup.record(result.statistics)
             self._inflight.pop(job.fingerprint, None)
             if not future.done():
-                future.set_result(result)
-            job_done(index, result, "engine")
+                future.set_result((result, stored))
+            job_done(index, result, "engine", stored)
 
         def settle_cluster(local_index: int, result: JobResult) -> None:
             # Another node sharing the keyspace executed the job; the
@@ -1332,8 +1373,8 @@ class VerificationService(HTTPService):
             self._executing_jobs -= 1
             self._inflight.pop(job.fingerprint, None)
             if not future.done():
-                future.set_result(result)
-            job_done(index, result, "cluster")
+                future.set_result((result, True))
+            job_done(index, result, "cluster", True)
 
         def settle_failure(exc: BaseException) -> None:
             for index, job, future in fresh:
@@ -1346,8 +1387,8 @@ class VerificationService(HTTPService):
                 )
                 self._executing_jobs -= 1
                 self._inflight.pop(job.fingerprint, None)
-                future.set_result(result)
-                job_done(index, result, "engine")
+                future.set_result((result, False))
+                job_done(index, result, "engine", False)
 
         # Correlation fields (request id, fingerprint) must be captured
         # here: run_group executes on a plain executor thread, outside
@@ -1366,8 +1407,8 @@ class VerificationService(HTTPService):
                     local, remote = self._claim_fresh(fresh_jobs)
                     if local:
                         group = [fresh_jobs[i] for i in local]
-                        for group_index, result in self._execute_fresh(group):
-                            loop.call_soon_threadsafe(settle, local[group_index], result)
+                        for group_index, result, stored in self._execute_fresh(group):
+                            loop.call_soon_threadsafe(settle, local[group_index], result, stored)
                     for local_index, result, executed in self._await_cluster(
                         remote, fresh_jobs
                     ):
@@ -1386,14 +1427,17 @@ class VerificationService(HTTPService):
     # -- fresh-execution hooks (executor-thread side) ----------------------------
 
     def _execute_fresh(self, jobs: List[VerificationJob]):
-        """Execute jobs missed by every cache layer; yields ``(index, result)``.
+        """Execute jobs missed by every cache layer; yields ``(index, result, stored)``.
 
         Runs on an executor thread, streaming results as they complete.
-        This is the override point for alternative execution backends: the
-        base class runs the local engine pool, the coordinator forwards
-        fingerprint shards to runner nodes.
+        ``stored`` says the result is already in this node's store, so
+        settling it writes nothing.  This is the override point for
+        alternative execution backends: the base class runs the local
+        engine pool (whose results are never stored yet), the coordinator
+        forwards fingerprint shards to runner nodes.
         """
-        return self._runner.execute_indexed(jobs)
+        for index, result in self._runner.execute_indexed(jobs):
+            yield index, result, False
 
     def _claim_fresh(
         self, jobs: List[VerificationJob]
@@ -1464,7 +1508,7 @@ class VerificationService(HTTPService):
                         run_local = True
                 if run_local:
                     del waiting[index]
-                    for _, result in self._execute_fresh([job]):
+                    for _, result, _stored in self._execute_fresh([job]):
                         yield index, result, True
             if waiting:
                 time.sleep(CLUSTER_POLL_SECONDS)
@@ -1504,7 +1548,7 @@ class VerificationService(HTTPService):
         record.emit({"event": "batch_accepted", "jobs": len(jobs)})
         resolved, counters = await self.resolve_jobs(jobs, record)
         report = BatchReport(
-            results=[result for result, _ in resolved],
+            results=[result for result, _, _ in resolved],
             elapsed_seconds=time.perf_counter() - start,
             workers=self._workers,
             cache_hits=counters["store_hits"],
@@ -1521,9 +1565,12 @@ class VerificationService(HTTPService):
             "cluster_joins": counters["cluster_joins"],
             "elapsed_seconds": round(report.elapsed_seconds, 6),
             "verdict_counts": report.verdict_counts(),
+            # Where this node's verdicts live, so a coordinator sharing the
+            # keyspace knows which results it need not write back.
+            "keyspace": self._keyspace,
             "results": [
-                {**result.as_dict(), "served_from": served_from}
-                for result, served_from in resolved
+                {**result.as_dict(), "served_from": served_from, "stored": stored}
+                for result, served_from, stored in resolved
             ],
         }
         record.finish(payload)
@@ -1794,7 +1841,7 @@ class VerificationService(HTTPService):
             elif isinstance(payload, Mapping):
                 job = self.parse_job(payload)
                 resolved, _counters = await self.resolve_jobs([job])
-                result, served_from = resolved[0]
+                result, served_from, _stored = resolved[0]
                 await self._send_json(
                     writer,
                     200,
@@ -1890,6 +1937,16 @@ class VerificationService(HTTPService):
         """
         fingerprint = self._witness_of(request)
         cached = self._store.get(fingerprint) if self._store is not None else None
+        await self._send_witness(writer, fingerprint, cached, keep)
+
+    async def _send_witness(
+        self,
+        writer: asyncio.StreamWriter,
+        fingerprint: str,
+        cached: Optional[JobResult],
+        keep: bool,
+    ) -> None:
+        """Answer a witness request from the stored result ``cached``."""
         if cached is None:
             raise ApiError(
                 404,

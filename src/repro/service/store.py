@@ -10,6 +10,11 @@ and a protocol shaped so a Redis/HTTP keyspace slots in without touching
 this layer.  ``export_json`` renders the whole table for offline analysis
 and the benchmark pipeline.
 
+A stored verdict is a fact keyed by its fingerprint, so the store costs one
+backend call per request and one per verdict: :meth:`ResultStore.cached_for_many`
+looks up every job of a request at once, and :meth:`ResultStore.put` is one
+write (the backend keeps stored artifacts the write lacks).
+
 The store owns retention *policy* on top of the backend mechanisms:
 
 * **TTL** -- with ``ttl_seconds`` set, entries older than the budget are
@@ -32,7 +37,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro import faults
 from repro.service.backends import (
@@ -167,12 +172,9 @@ class ResultStore:
 
     # -- core operations ---------------------------------------------------------
 
-    def _fresh_row(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        """The backend row if present and unexpired; lazily deletes stale rows."""
-        row = self._backend.get(fingerprint)
-        if row is None:
-            return None
-        if row_expired(row, time.time(), self._ttl_seconds):
+    def _live(self, fingerprint: str, row: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+        """``row`` unless it has expired, in which case it is reaped (None)."""
+        if row is not None and row_expired(row, time.time(), self._ttl_seconds):
             if self._backend.delete(fingerprint):
                 self.stats.ttl_expirations += 1
             return None
@@ -186,8 +188,14 @@ class ResultStore:
         an error must never be served where a verdict is expected, and a
         resubmitted job must re-execute.
         """
+        return self._result(fingerprint, self._backend.get(fingerprint), include_errors)
+
+    def _result(
+        self, fingerprint: str, row: Optional[Dict[str, Any]], include_errors: bool = False
+    ) -> Optional[JobResult]:
+        """The result a backend ``row`` holds, counted as one lookup."""
         self.stats.gets += 1
-        row = self._fresh_row(fingerprint)
+        row = self._live(fingerprint, row)
         if row is None or (not row.get("cacheable", 1) and not include_errors):
             self.stats.misses += 1
             return None
@@ -213,23 +221,41 @@ class ResultStore:
         )
 
     def cached_for(self, job: VerificationJob) -> Optional[JobResult]:
-        """The stored verdict that serves ``job``, or None; one :meth:`get`.
+        """The stored verdict that serves ``job``, or None (see :meth:`cached_for_many`)."""
+        return self.cached_for_many([job])[0]
 
-        A verdict stored without an artifact the job requests
+    def cached_for_many(self, jobs: Sequence[VerificationJob]) -> List[Optional[JobResult]]:
+        """The stored verdicts that serve ``jobs``, aligned with them; one backend call.
+
+        Each job is one lookup, with the rules of :meth:`get`: a
+        non-cacheable row reads as a miss and an expired row is reaped.  A
+        verdict stored without an artifact the job requests
         (:meth:`JobResult.serves`) does not serve it: the job re-executes to
         the same verdict, and the rewritten row carries the artifact.  A
         served result carries the job's label, or the row's when the job has
         none.
         """
-        cached = self.get(job.fingerprint)
-        if cached is None or not cached.serves(job):
-            return None
-        cached.label = job.label or cached.label
-        return cached
+        if not jobs:
+            return []
+        rows = self._backend.get_many([job.fingerprint for job in jobs])
+        served: List[Optional[JobResult]] = []
+        for job, row in zip(jobs, rows):
+            cached = self._result(job.fingerprint, row)
+            if cached is not None and cached.serves(job):
+                cached.label = job.label or cached.label
+                served.append(cached)
+            else:
+                served.append(None)
+        return served
 
     def put(self, job: VerificationJob, result: JobResult) -> None:
-        """Store a completed verdict (errored results are rejected).
+        """Store a completed verdict in one backend write (errored results are rejected).
 
+        A verdict written without a trace or certificate keeps the ones the
+        stored verdict row carries: the backend applies that carry-forward
+        rule inside the write (:func:`~repro.service.backends.carry_artifacts`),
+        so an artifact-less rewrite of a verdict another writer recorded
+        with artifacts cannot erase them, and no read precedes the write.
         Transient failures go through :meth:`put_error` instead, which
         marks them non-cacheable -- they are *never* valid warm verdicts.
         """
@@ -239,19 +265,6 @@ class ResultStore:
         trace_json = (
             json.dumps(result.trace, sort_keys=True) if result.trace is not None else None
         )
-        certificate = result.certificate
-        if trace_json is None or certificate is None:
-            # An artifact-less rewrite (e.g. the coordinator's write-back of
-            # a result forwarded by a runner sharing this keyspace) must not
-            # clobber a trace/certificate another node recorded for the same
-            # verdict.  Both artifacts are deterministic in the fingerprint,
-            # so carrying them forward is always sound.
-            existing = self._backend.get(result.fingerprint)
-            if existing is not None and not existing.get("error_code"):
-                if trace_json is None:
-                    trace_json = existing.get("trace")
-                if certificate is None:
-                    certificate = existing.get("certificate")
         self._backend.put(
             result.fingerprint,
             {
@@ -271,7 +284,7 @@ class ResultStore:
                 "error_code": None,
                 "cacheable": 1,
                 "expires_at": None,
-                "certificate": certificate,
+                "certificate": result.certificate,
             },
         )
         self.stats.puts += 1
@@ -414,7 +427,7 @@ class ResultStore:
     def __contains__(self, fingerprint: object) -> bool:
         if not isinstance(fingerprint, str):
             return False
-        return self._fresh_row(fingerprint) is not None
+        return self._live(fingerprint, self._backend.get(fingerprint)) is not None
 
     def __len__(self) -> int:
         # Purge first so counts agree with get()/__contains__ semantics:

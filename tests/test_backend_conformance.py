@@ -24,9 +24,11 @@ from repro.service.backends import (
     SQLiteBackend,
     backend_from_url,
 )
-from repro.service.client import HTTPBackend
+from repro.service.client import HTTPBackend, ServiceClient, ServiceError
 from repro.service.keyspace import KeyspaceService
 from repro.service.server import ServerThread
+from repro.service.store import CLAIM_ERROR_CODE, ResultStore
+from repro.workloads import generate_jobs
 
 KEY = "a" * 64
 OTHER = "b" * 64
@@ -181,6 +183,75 @@ class TestBackendContract:
         assert len(winners) == 1
         assert backend.get(KEY)["label"] == winners[0]
 
+    def test_get_many_aligns_rows_with_keys(self, backend):
+        reaped = "c" * 64
+        backend.put(KEY, make_row(label="kept"))
+        backend.put(reaped, make_row(fingerprint=reaped))
+        backend.delete(reaped)
+        rows = backend.get_many([KEY, OTHER, reaped, KEY])
+        assert [row and row["label"] for row in rows] == ["kept", None, None, "kept"]
+        assert rows[0] == backend.get(KEY)
+        assert backend.get_many([]) == []
+
+    def test_batch_lookup_misses_expired_rows_and_reaps_them(self, backend):
+        # Expiry is policy: the keyspace server applies it to an HTTP batch
+        # lookup, the ResultStore to a local one; either way, one store
+        # call, and an expired row reads as missing and is deleted.
+        live, expired, missing = generate_jobs(3, seed=61)
+        now = time.time()
+        backend.put(live.fingerprint, make_row(fingerprint=live.fingerprint, created_at=now))
+        backend.put(
+            expired.fingerprint,
+            make_row(fingerprint=expired.fingerprint, created_at=now, expires_at=now - 1.0),
+        )
+        store = ResultStore(backend=backend)
+        served = store.cached_for_many([live, expired, missing])
+        assert [result is not None for result in served] == [True, False, False]
+        assert served[0].label == live.label and served[0].cached
+        assert backend.get(expired.fingerprint) is None
+        assert backend.count() == 1
+        stats = store.stats.as_dict()
+        assert (stats["gets"], stats["hits"], stats["misses"]) == (3, 1, 2)
+
+    def test_verdict_put_without_artifacts_keeps_the_stored_ones(self, backend):
+        backend.put(KEY, make_row(created_at=1.0, trace='{"spans": []}', certificate="CERT"))
+        backend.put(KEY, make_row(created_at=2.0, label="rewrite"))
+        row = backend.get(KEY)
+        assert (row["label"], row["created_at"]) == ("rewrite", 2.0)
+        assert (row["trace"], row["certificate"]) == ('{"spans": []}', "CERT")
+        # A written artifact replaces the stored one; the missing one is kept.
+        backend.put(KEY, make_row(created_at=3.0, trace='{"spans": [1]}'))
+        row = backend.get(KEY)
+        assert (row["trace"], row["certificate"]) == ('{"spans": [1]}', "CERT")
+
+    @pytest.mark.parametrize("error_code", [CLAIM_ERROR_CODE, "worker-crashed"])
+    def test_put_over_a_claim_or_error_row_carries_nothing(self, backend, error_code):
+        # Real claim and error rows hold no artifacts; these do, so a carry
+        # from them would show.
+        backend.put(
+            KEY,
+            make_row(
+                cacheable=0,
+                error="node-1",
+                error_code=error_code,
+                trace='{"spans": []}',
+                certificate="CERT",
+            ),
+        )
+        backend.put(KEY, make_row(created_at=2.0))
+        row = backend.get(KEY)
+        assert row["error_code"] is None
+        assert (row["trace"], row["certificate"]) == (None, None)
+
+    def test_error_row_over_a_verdict_takes_no_artifacts(self, backend):
+        backend.put(KEY, make_row(trace='{"spans": []}', certificate="CERT"))
+        backend.put(
+            KEY, make_row(created_at=2.0, cacheable=0, error="crash", error_code="worker-crashed")
+        )
+        row = backend.get(KEY)
+        assert row["error_code"] == "worker-crashed"
+        assert (row["trace"], row["certificate"]) == (None, None)
+
     def test_concurrent_plain_puts_converge(self, backend):
         """Racing unconditional puts: last write wins, store stays consistent."""
 
@@ -240,6 +311,42 @@ class TestHTTPBackendSpecifics:
             assert client.get(KEY)["label"] == "takeover"
             client.close()
 
+    def test_batch_lookup_is_one_op_with_expiry_per_row(self):
+        service = KeyspaceService("memory:")
+        with ServerThread(service=service) as server:
+            client = HTTPBackend(server.base_url)
+            client.put(KEY, make_row(created_at=time.time()))
+            client.put(OTHER, make_row(fingerprint=OTHER, expires_at=time.time() - 1.0))
+            before = self._ops_total(service)
+            rows = client.get_many([OTHER, KEY, "c" * 64])
+            assert [row and row["fingerprint"] for row in rows] == [None, KEY, None]
+            assert self._ops_total(service) == before + 1
+            # The expired row was reaped on the server, as a GET reaps it.
+            assert service.stats_payload()["expired_total"] == 1
+            assert client.count() == 1
+            client.close()
+
+    def test_batch_lookup_refuses_a_malformed_body(self):
+        with ServerThread(service=KeyspaceService("memory:")) as server:
+            with ServiceClient(server.base_url) as client:
+                for payload in ({"keys": KEY}, {"keys": [1]}, [KEY]):
+                    with pytest.raises(ServiceError) as refused:
+                        client.request("POST", "/rows/get", payload)
+                    assert (refused.value.status, refused.value.code) == (400, "invalid-spec")
+                with pytest.raises(ServiceError) as wrong_method:
+                    client.request("GET", "/rows/get")
+                assert wrong_method.value.status == 405
+                assert "POST /rows/get" in client.discovery()["routes"]
+
+    @staticmethod
+    def _ops_total(service):
+        from repro.telemetry import parse_exposition
+
+        samples = parse_exposition(service.registry.render()).samples
+        return sum(
+            value for (name, _), value in samples.items() if name == "repro_keyspace_ops_total"
+        )
+
     def test_auth_token_round_trip_and_rejection(self):
         with ServerThread(service=KeyspaceService("memory:", auth_token="sesame")) as server:
             trusted = HTTPBackend(server.base_url, token="sesame")
@@ -257,6 +364,7 @@ class TestHTTPBackendSpecifics:
         # checkpoint surface a refusing keyspace as StoreError too.
         operations = [
             ("get", (KEY,)),
+            ("get_many", ([KEY],)),
             ("put", (KEY, make_row())),
             ("put_if_absent", (KEY, make_row())),
             ("compare_and_put", (KEY, make_row(), 1000.0)),

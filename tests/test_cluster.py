@@ -28,6 +28,7 @@ from repro.service import (
 )
 from repro.service.runner import BatchRunner
 from repro.service.store import CLAIM_ERROR_CODE, DEFAULT_CLAIM_TTL_SECONDS
+from repro.telemetry import parse_exposition
 from repro.workloads import generate_jobs
 
 
@@ -57,30 +58,37 @@ def dead_url():
 
 
 @contextlib.contextmanager
-def fleet(runner_count=2, runner_kwargs=None, extra_runner_urls=(), coordinator_store=True):
-    """A keyspace server, ``runner_count`` runners sharing it, one coordinator."""
+def fleet(
+    runner_count=2,
+    runner_kwargs=None,
+    extra_runner_urls=(),
+    coordinator_store=True,
+    runner_store=True,
+):
+    """A keyspace server, ``runner_count`` runners sharing it, one coordinator.
+
+    ``coordinator_store`` is True (the shared keyspace), False (none) or a
+    store of its own; ``runner_store`` False leaves the runners storeless.
+    """
     with ServerThread(service=KeyspaceService("memory:")) as keyspace:
         with contextlib.ExitStack() as stack:
             runners = []
             for _ in range(runner_count):
                 runner = ServerThread(
                     service=VerificationService(
-                        store=ResultStore.from_url(keyspace.base_url),
+                        store=ResultStore.from_url(keyspace.base_url) if runner_store else None,
                         **(runner_kwargs or {}),
                     )
                 )
                 stack.enter_context(runner)
                 runners.append(runner)
             urls = [runner.base_url for runner in runners] + list(extra_runner_urls)
+            if coordinator_store is True:
+                coordinator_store = ResultStore.from_url(keyspace.base_url)
+            elif coordinator_store is False:
+                coordinator_store = None
             coordinator = ServerThread(
-                service=CoordinatorService(
-                    runners=urls,
-                    store=(
-                        ResultStore.from_url(keyspace.base_url)
-                        if coordinator_store
-                        else None
-                    ),
-                )
+                service=CoordinatorService(runners=urls, store=coordinator_store)
             )
             stack.enter_context(coordinator)
             yield keyspace, runners, coordinator
@@ -333,3 +341,112 @@ class TestFleetObservability:
     def test_coordinator_requires_a_runner(self):
         with pytest.raises(ValueError):
             CoordinatorService(runners=[])
+
+
+def keyspace_ops(keyspace):
+    """``repro_keyspace_ops_total`` summed over its op and outcome labels."""
+    samples = parse_exposition(keyspace.service.registry.render()).samples
+    return sum(value for (name, _), value in samples.items() if name == "repro_keyspace_ops_total")
+
+
+def certified_job():
+    from repro import AllDatabasesTheory
+    from repro.library import triangle_system
+    from repro.relational.csp import GRAPH_SCHEMA
+    from repro.service.jobs import VerificationJob
+
+    return VerificationJob(triangle_system(), AllDatabasesTheory(GRAPH_SCHEMA), certificate=True)
+
+
+class TestRoundTripBudget:
+    """One lookup per request, one write per verdict (keyspace op counts)."""
+
+    def test_fresh_one_job_request_costs_four_keyspace_ops(self):
+        # Coordinator lookup, runner lookup, runner claim, runner write: the
+        # coordinator does not write back what the runner stored.
+        jobs = generate_jobs(1, seed=71)
+        with fleet() as (keyspace, runners, coordinator):
+            with ServiceClient(coordinator.base_url) as client:
+                before = keyspace_ops(keyspace)
+                report = client.submit_batch(jobs)
+                assert report["executed"] == 1
+                assert keyspace_ops(keyspace) - before == 4
+
+    def test_warm_two_job_request_costs_one_keyspace_op(self):
+        jobs = generate_jobs(2, seed=73)
+        with fleet() as (keyspace, runners, coordinator):
+            with ServiceClient(coordinator.base_url) as client:
+                client.submit_batch(jobs)
+                before = keyspace_ops(keyspace)
+                warm = client.submit_batch(jobs)
+                assert warm["store_hits"] == 2
+                assert keyspace_ops(keyspace) - before == 1
+
+    def test_coordinator_witness_fetch_costs_one_keyspace_op(self):
+        job = certified_job()
+        with fleet() as (keyspace, runners, coordinator):
+            with ServiceClient(coordinator.base_url) as client:
+                client.submit_batch([job])
+                before = keyspace_ops(keyspace)
+                payload = client.witness(job.fingerprint)
+                assert payload["served_from"] == "store" and payload["certificate"]
+                assert keyspace_ops(keyspace) - before == 1
+
+    def test_runner_report_names_its_keyspace_and_what_it_stored(self):
+        jobs = generate_jobs(2, seed=79)
+        with fleet() as (keyspace, runners, coordinator):
+            with ServiceClient(runners[0].base_url) as client:
+                report = client.submit_batch(jobs)
+            assert report["keyspace"] == keyspace.base_url
+            assert [entry["stored"] for entry in report["results"]] == [True, True]
+
+    def test_coordinator_on_its_own_store_holds_every_forwarded_verdict(self):
+        jobs = generate_jobs(6, seed=83)
+        own = ResultStore.in_memory()
+        with fleet(coordinator_store=own) as (keyspace, runners, coordinator):
+            with ServiceClient(coordinator.base_url) as client:
+                client.submit_batch(jobs)
+        assert all(own.get(job.fingerprint) is not None for job in jobs)
+
+    def test_storeless_runners_results_are_written_back(self):
+        jobs = generate_jobs(4, seed=89)
+        with fleet(runner_store=False) as (keyspace, runners, coordinator):
+            with ServiceClient(coordinator.base_url) as client:
+                client.submit_batch(jobs)
+            held = ResultStore.from_url(keyspace.base_url)
+            assert all(held.get(job.fingerprint) is not None for job in jobs)
+            held.close()
+
+    def test_failed_runner_write_is_written_back_by_the_coordinator(self, monkeypatch):
+        jobs = generate_jobs(3, seed=97)
+        with fleet() as (keyspace, runners, coordinator):
+            for runner in runners:
+                store = runner.service._store
+
+                def refuse(job, result):
+                    raise OSError("keyspace write refused")
+
+                monkeypatch.setattr(store, "put", refuse)
+            with ServiceClient(coordinator.base_url) as client:
+                report = client.submit_batch(jobs)
+            assert not [entry for entry in report["results"] if entry["error"]]
+            held = ResultStore.from_url(keyspace.base_url)
+            assert all(held.get(job.fingerprint) is not None for job in jobs)
+            held.close()
+
+    def test_forwards_reuse_one_connection_per_runner_until_the_coordinator_stops(self):
+        jobs = generate_jobs(4, seed=101)
+        with fleet() as (keyspace, runners, coordinator):
+            with ServiceClient(coordinator.base_url) as client:
+                for job in jobs:  # one fresh forward per request
+                    client.submit_batch([job])
+                client.stats()  # the stats poll checks out a client too
+            opened = [runner.service.stats.connections_total for runner in runners]
+            # A forward client and a stats client per runner at most, not a
+            # connection per forward.
+            assert sum(opened) <= 2 * len(runners)
+            coordinator.stop()
+            deadline = time.time() + 10
+            while any(r.service._open_connections for r in runners) and time.time() < deadline:
+                time.sleep(0.05)
+            assert [runner.service._open_connections for runner in runners] == [0, 0]

@@ -212,6 +212,25 @@ class ConnectionCases:
         assert data.count(b"Connection: keep-alive") == 3
         assert node.service.stats.connections_total == 1
 
+    def test_stalled_request_is_cut_at_the_read_budget(self, node, monkeypatch):
+        # Once the request line is in, the read budget -- not the idle
+        # budget -- bounds the rest of the request; the stalled connection
+        # is closed without a response and the server keeps serving.
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_SECONDS", 0.3)
+        host, port = node.address
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n")  # no blank line
+            started = time.monotonic()
+            try:
+                data = sock.recv(65536)
+            except ConnectionResetError:
+                data = b""
+            elapsed = time.monotonic() - started
+        assert data == b""
+        assert 0.2 <= elapsed < 5, elapsed
+        status, payload, _ = _request(node.base_url, "/v1/healthz")
+        assert status == 200 and payload["status"] == "ok"
+
     def test_http_1_0_closes_by_default(self, node):
         data = _exchange(node.address, b"GET /v1/healthz HTTP/1.0\r\nHost: t\r\n\r\n")
         assert b"HTTP/1.1 200" in data
